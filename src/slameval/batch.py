@@ -29,8 +29,9 @@ Manifest JSON schema (schema_version 1)::
       ]
     }
 
-All options are optional and default as above. Relative paths resolve
-against the manifest's directory.
+All options are optional and default as above; ``rpe_delta`` and
+``stride`` must be integers, the other numbers finite. Relative paths
+resolve against the manifest's directory.
 
 Evaluation of different sequences is independent, so the runner can
 fan out over worker processes; results are reduced in manifest order
@@ -43,13 +44,14 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .cohort import CohortSummary, MetricRecord, SequenceResult, summarize
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe
-from .trajio import load_tum, associate, associate_by_index
+from .geom3d import Trajectory
+from .trajio import Association, load_tum, associate, associate_by_index
 from .trajstats import resample_stride, sequence_stats
 
 __all__ = [
@@ -77,6 +79,23 @@ class BatchOptions:
     stride: int = 1
 
     def __post_init__(self):
+        for name in ("rpe_delta", "stride"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("max_time_diff", "min_tracked", "gap_ratio_min"):
+            value = getattr(self, name)
+            if (
+                not isinstance(value, (int, float))
+                or isinstance(value, bool)
+                or not math.isfinite(value)
+            ):
+                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+        if not isinstance(self.index_identity_association, bool):
+            raise ValidationError(
+                f"index_identity_association must be true or false, "
+                f"got {self.index_identity_association!r}"
+            )
         if self.rpe_mode not in (RPE_MODE_FIXED, RPE_MODE_ALL_PAIRS):
             raise ValidationError(f"unknown rpe_mode {self.rpe_mode!r}")
         if self.rpe_delta < 1:
@@ -130,6 +149,8 @@ def load_manifest(path: str | Path) -> RunManifest:
         raise ValidationError(f"unsupported manifest schema_version {version!r}")
 
     opt_raw = raw.get("options", {})
+    if not isinstance(opt_raw, dict):
+        raise ValidationError(f"manifest {path}: options must be an object")
     known = set(BatchOptions.__dataclass_fields__)
     unknown = set(opt_raw) - known
     if unknown:
@@ -139,17 +160,23 @@ def load_manifest(path: str | Path) -> RunManifest:
     base = path.parent
     entries: list[SequenceEntry] = []
     seen: set[str] = set()
-    for item in raw.get("sequences", []):
+    sequences = raw.get("sequences", [])
+    if not isinstance(sequences, list):
+        raise ValidationError(f"manifest {path}: sequences must be a list")
+    for item in sequences:
         try:
             seq_id = str(item["sequence_id"])
             gt_path = base / item["gt_path"]
-            est_paths = tuple(base / p for p in item["estimate_paths"])
+            est_raw = item["estimate_paths"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"manifest sequence entry malformed: {item!r} ({exc})") from None
         if seq_id in seen:
             raise ValidationError(f"duplicate sequence_id {seq_id!r}")
-        if not est_paths:
+        if not isinstance(est_raw, list) or not all(isinstance(p, str) for p in est_raw):
+            raise ValidationError(f"sequence {seq_id!r}: estimate_paths must be a list of strings")
+        if not est_raw:
             raise ValidationError(f"sequence {seq_id!r} lists no estimate paths")
+        est_paths = tuple(base / p for p in est_raw)
         seen.add(seq_id)
         entries.append(SequenceEntry(seq_id, gt_path, est_paths))
     if not entries:
@@ -161,11 +188,17 @@ def _failed_record() -> MetricRecord:
     return MetricRecord(math.nan, math.nan, math.nan, 0.0)
 
 
-def evaluate_run(gt, est_path: Path, options: BatchOptions) -> MetricRecord:
-    """Evaluate one estimate file against a loaded ground truth."""
+def evaluate_run(
+    gt: Trajectory, gt_strided: Trajectory, est_path: Path, options: BatchOptions
+) -> MetricRecord:
+    """Evaluate one estimate file against a loaded ground truth.
+
+    The whole estimate is associated with the whole ground truth. At
+    stride s the pairs on every s-th gt pose are kept and re-indexed into
+    ``gt_strided`` (gt resampled at stride s), so a dropped estimate
+    frame cannot shift the estimate out of phase with the stride.
+    """
     est = load_tum(est_path)
-    if options.stride > 1:
-        est = resample_stride(est, options.stride)
     try:
         if options.index_identity_association:
             assoc = associate_by_index(gt, est)
@@ -173,16 +206,22 @@ def evaluate_run(gt, est_path: Path, options: BatchOptions) -> MetricRecord:
             assoc = associate(gt, est, options.max_time_diff)
     except EmptyAssociationError:
         return _failed_record()
+    s = options.stride
+    if s > 1:
+        pairs = tuple((i // s, j) for i, j in assoc.pairs if i % s == 0)
+        if not pairs:
+            return _failed_record()
+        assoc = Association(pairs, assoc.max_time_diff)
 
-    tracked = len(assoc) / len(gt)
-    ate_report = ate(gt, est, assoc)
+    tracked = len(assoc) / len(gt_strided)
+    ate_report = ate(gt_strided, est, assoc)
 
     rpe_trans = math.nan
     rpe_rot = math.nan
     n = len(assoc)
     delta_ok = options.rpe_mode == RPE_MODE_ALL_PAIRS or options.rpe_delta < n
     if n >= 2 and delta_ok:
-        rpe_report = rpe(gt, est, assoc, options.rpe_delta, options.rpe_mode)
+        rpe_report = rpe(gt_strided, est, assoc, options.rpe_delta, options.rpe_mode)
         rpe_trans = rpe_report.trans_rmse
         rpe_rot = rpe_report.rot_mean
 
@@ -199,14 +238,13 @@ def evaluate_sequence(
     except (OSError, SlamEvalError) as exc:
         failures.append(Failure(entry.sequence_id, str(entry.gt_path), str(exc)))
         return None, failures
-    if options.stride > 1:
-        gt = resample_stride(gt, options.stride)
-    stats = sequence_stats(gt)
+    gt_strided = resample_stride(gt, options.stride)
+    stats = sequence_stats(gt_strided)
 
     records: list[MetricRecord] = []
     for est_path in entry.estimate_paths:
         try:
-            records.append(evaluate_run(gt, est_path, options))
+            records.append(evaluate_run(gt, gt_strided, est_path, options))
         except (OSError, SlamEvalError) as exc:
             failures.append(Failure(entry.sequence_id, str(est_path), str(exc)))
     if not records:
@@ -244,9 +282,3 @@ def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     if results:
         summary = summarize(results, options.min_tracked, options.gap_ratio_min)
     return BatchOutcome(summary, tuple(failures), len(results))
-
-
-def with_overrides(options: BatchOptions, **kwargs) -> BatchOptions:
-    """A copy of options with the given fields replaced (None values skipped)."""
-    updates = {k: v for k, v in kwargs.items() if v is not None}
-    return replace(options, **updates) if updates else options

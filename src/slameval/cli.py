@@ -23,8 +23,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .batch import load_manifest, run_batch, with_overrides
-from .errors import EmptyAssociationError, SlamEvalError
+from .batch import load_manifest, run_batch
+from .errors import EmptyAssociationError, SlamEvalError, ValidationError
 from .geom3d import Pose, Rotation
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe
 from .report import dump_json, write_report_bundle
@@ -133,12 +133,17 @@ def _cmd_stats(args) -> int:
 
 def _cmd_batch(args) -> int:
     manifest = load_manifest(args.manifest)
-    options = with_overrides(manifest.options, stride=args.stride)
-    manifest = replace(manifest, options=options)
+    if args.stride is not None:
+        manifest = replace(manifest, options=replace(manifest.options, stride=args.stride))
+    options = manifest.options
 
     jobs = args.jobs
     if jobs is None:
-        jobs = int(os.environ.get("SLAMEVAL_JOBS", "1"))
+        env = os.environ.get("SLAMEVAL_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ValidationError(f"SLAMEVAL_JOBS must be an integer, got {env!r}") from None
     outcome = run_batch(manifest, jobs=jobs)
 
     files = write_report_bundle(outcome, options, args.out, svg=args.svg)

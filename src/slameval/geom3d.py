@@ -11,19 +11,19 @@ Conventions used throughout the package:
 - Angles are radians everywhere inside the library. Degrees appear only
   at reporting boundaries.
 
-The module has two layers: array-level quaternion helpers (``quat_*``)
-that broadcast over stacked arrays of shape (..., 4) / (..., 3), and the
-``Rotation`` / ``Pose`` / ``Trajectory`` value types with the group
-operations ``compose``, ``inverse``, ``apply``, ``trans``, ``rot``,
-``angle_of`` and ``relative``. The metric code uses the array layer for
-whole-trajectory computations; both layers share the same formulas.
+A ``Trajectory`` is three read-only arrays (timestamps, translations,
+quaternions); whole-trajectory code works on them with the ``quat_*``
+helpers, which broadcast over shapes (..., 4) / (..., 3). ``Rotation``
+and ``Pose`` are single transforms with the group operations
+``compose``, ``inverse``, ``apply``, ``trans``, ``rot``, ``angle_of``
+and ``relative``; a trajectory builds them as views of its rows on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,14 +179,14 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
 
 
 def quat_from_axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
-    """Quaternion for a rotation of ``angle`` radians about ``axis``."""
+    """Quaternions for rotations of ``angle`` radians about ``axis``, broadcasting."""
     axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm == 0.0:
+    # the dot product np.linalg.norm takes of one vector: stacks match single calls bitwise
+    norm = np.sqrt(axis[..., None, :] @ axis[..., :, None])[..., 0]
+    if np.any(norm == 0.0):
         raise ValidationError("rotation axis must be nonzero")
-    axis = axis / norm
-    half = 0.5 * float(angle)
-    return quat_normalize(np.concatenate([[math.cos(half)], math.sin(half) * axis]))
+    half = 0.5 * np.asarray(angle, dtype=float)[..., None]
+    return quat_normalize(np.concatenate([np.cos(half), np.sin(half) * (axis / norm)], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -303,68 +303,94 @@ class Pose:
         return f"Pose({self.rotation!r}, trans={np.array2string(self.translation, precision=6)}{ts})"
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """An ordered sequence of poses, optionally timestamped.
+def _view(cls, **fields):
+    # an instance holding the fields as given, without the copy and renormalization
+    # of __post_init__: a view returns the stored row exactly
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
-    Invariants: at least one pose; timestamps, where present on
-    consecutive poses, strictly increase.
+
+@dataclass(frozen=True, eq=False, init=False)
+class Trajectory:
+    """Poses as read-only arrays ``t`` (n,), ``xyz`` (n, 3) and ``q`` (n, 4).
+
+    ``t`` is NaN for an unstamped pose; ``q`` holds unit quaternions
+    (w, x, y, z) with w >= 0. Invariants: at least one pose; timestamps,
+    where present, strictly increase. Indexing and iteration yield
+    ``Pose`` views of the rows.
     """
 
-    poses: tuple[Pose, ...]
+    t: np.ndarray
+    xyz: np.ndarray
+    q: np.ndarray
     traj_id: str = ""
 
-    def __post_init__(self):
-        poses = tuple(self.poses)
-        if len(poses) < 1:
+    def __init__(self, poses: Iterable[Pose], traj_id: str = ""):
+        poses = tuple(poses)
+        t = [math.nan if p.timestamp is None else p.timestamp for p in poses]
+        xyz = np.reshape([p.translation for p in poses], (-1, 3))
+        q = np.reshape([p.rotation.q for p in poses], (-1, 4))
+        vars(self).update(vars(Trajectory.from_arrays(t, xyz, q, traj_id)))
+
+    @classmethod
+    def from_arrays(cls, t, xyz, q, traj_id: str = "") -> "Trajectory":
+        """A trajectory over copies of the arrays; ``q`` is stored as given."""
+        t, xyz, q = _locked(t), _locked(xyz), _locked(q)
+        if len(t) < 1:
             raise ValidationError("a trajectory must contain at least one pose")
-        object.__setattr__(self, "poses", poses)
-        prev = None
-        for i, p in enumerate(poses):
-            if p.timestamp is None:
-                continue
-            if prev is not None and p.timestamp <= prev:
-                raise ValidationError(
-                    f"timestamps must be strictly increasing; pose {i} has "
-                    f"{p.timestamp!r} after {prev!r}"
-                )
-            prev = p.timestamp
+        stamped = np.flatnonzero(~np.isnan(t))
+        ts = t[stamped]
+        bad = np.flatnonzero(ts[1:] <= ts[:-1])
+        if bad.size:
+            k = bad[0]
+            raise ValidationError(
+                f"timestamps must be strictly increasing; pose {stamped[k + 1]} has "
+                f"{float(ts[k + 1])!r} after {float(ts[k])!r}"
+            )
+        return _view(cls, t=t, xyz=xyz, q=q, traj_id=traj_id)
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.t)
 
     def __iter__(self) -> Iterator[Pose]:
-        return iter(self.poses)
+        return map(self.__getitem__, range(len(self)))
 
     def __getitem__(self, i: int) -> Pose:
-        return self.poses[i]
+        ts = None if math.isnan(self.t[i]) else float(self.t[i])
+        rotation = _view(Rotation, q=self.q[i])
+        return _view(Pose, rotation=rotation, translation=self.xyz[i], timestamp=ts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trajectory):
             return NotImplemented
-        return self.traj_id == other.traj_id and self.poses == other.poses
+        same = self.traj_id == other.traj_id and np.array_equal(self.t, other.t, equal_nan=True)
+        return same and np.array_equal(self.xyz, other.xyz) and np.array_equal(self.q, other.q)
+
+    @property
+    def poses(self) -> tuple[Pose, ...]:
+        return tuple(self)
 
     @property
     def has_timestamps(self) -> bool:
-        return all(p.timestamp is not None for p in self.poses)
+        return not bool(np.isnan(self.t).any())
 
     def timestamps(self) -> np.ndarray | None:
         """All timestamps as an array, or None if any pose is unstamped."""
-        if not self.has_timestamps:
-            return None
-        return np.array([p.timestamp for p in self.poses])
+        return self.t if self.has_timestamps else None
 
     def translations(self) -> np.ndarray:
         """Stacked translations, shape (n, 3)."""
-        return np.stack([p.translation for p in self.poses])
+        return self.xyz
 
     def quaternions(self) -> np.ndarray:
         """Stacked rotation quaternions (w, x, y, z), shape (n, 4)."""
-        return np.stack([p.rotation.q for p in self.poses])
+        return self.q
 
     def subset(self, indices: Sequence[int]) -> "Trajectory":
         """Trajectory restricted to the given pose indices (kept in order)."""
-        return Trajectory(tuple(self.poses[int(i)] for i in indices), self.traj_id)
+        i = np.asarray(indices, dtype=int)
+        return Trajectory.from_arrays(self.t[i], self.xyz[i], self.q[i], self.traj_id)
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,8 @@ def _mean(values: np.ndarray) -> float:
 
 
 def _associated_arrays(gt: Trajectory, est: Trajectory, assoc: Association):
-    gi = assoc.gt_indices
-    ei = assoc.est_indices
-    q_quat = gt.quaternions()[gi]
-    q_trans = gt.translations()[gi]
-    p_quat = est.quaternions()[ei]
-    p_trans = est.translations()[ei]
-    return q_quat, q_trans, p_quat, p_trans
+    gi, ei = assoc.gt_indices, assoc.est_indices
+    return gt.q[gi], gt.xyz[gi], est.q[ei], est.xyz[ei]
 
 
 def ate(gt: Trajectory, est: Trajectory, assoc: Association) -> AteReport:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Pose, Rotation, Trajectory, compose, quat_mul
+from .geom3d import Pose, Trajectory, quat_from_axis_angle, quat_mul, quat_normalize, quat_rotate
 
 __all__ = ["PerturbationSpec", "random_trajectory", "perturb"]
 
@@ -106,67 +106,52 @@ def random_trajectory(
     positions[1:] = np.cumsum(steps[:, None] * directions, axis=0)
     positions[:, 2] = height
 
-    poses = tuple(
-        Pose(
-            Rotation.from_axis_angle([0.0, 0.0, 1.0], float(headings[i])),
-            positions[i],
-            timestamp=i / rate_hz,
-        )
-        for i in range(n)
-    )
-    return Trajectory(poses, f"synth_{seed}")
-
-
-def _with_timestamp(p: Pose, ts: float | None) -> Pose:
-    return Pose(p.rotation, p.translation, ts)
+    # normalized twice, as Rotation.from_axis_angle does: pose-built paths match bit for bit
+    q = quat_normalize(quat_from_axis_angle([0.0, 0.0, 1.0], headings))
+    return Trajectory.from_arrays(np.arange(n) / rate_hz, positions, q, f"synth_{seed}")
 
 
 def perturb(gt: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Apply the perturbation stages of spec to gt.
 
     A spec of all zeros and no transform returns the input unchanged.
+    Rotations are renormalized after every product, as in ``compose``.
     """
-    poses = list(gt.poses)
+    t, xyz, q = gt.t, gt.xyz, gt.q
+    n = len(t)
 
     if spec.global_transform is not None:
         g = spec.global_transform
-        poses = [_with_timestamp(compose(g, p), p.timestamp) for p in poses]
+        q = quat_normalize(quat_mul(g.rotation.q, q))
+        xyz = quat_rotate(g.rotation.q, xyz) + g.translation
 
     drift_vec = np.asarray(spec.drift_per_frame, dtype=float)
     if np.any(drift_vec != 0.0) or spec.drift_rot_per_frame != 0.0:
-        drifted = []
-        for i, p in enumerate(poses):
-            rotation = p.rotation
-            if spec.drift_rot_per_frame != 0.0:
-                d = Rotation.from_axis_angle(spec.drift_rot_axis, i * spec.drift_rot_per_frame)
-                rotation = Rotation(quat_mul(d.q, rotation.q))
-            drifted.append(Pose(rotation, p.translation + i * drift_vec, p.timestamp))
-        poses = drifted
+        i = np.arange(n)
+        if spec.drift_rot_per_frame != 0.0:
+            angles = i * spec.drift_rot_per_frame
+            d = quat_normalize(quat_from_axis_angle(spec.drift_rot_axis, angles))
+            q = quat_normalize(quat_mul(d, q))
+        xyz = xyz + i[:, None] * drift_vec
 
     rng_trans, rng_rot, rng_drop = (
         np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
     )
 
     if spec.noise_sigma_trans > 0.0:
-        noise = rng_trans.normal(0.0, spec.noise_sigma_trans, size=(len(poses), 3))
-        poses = [
-            Pose(p.rotation, p.translation + noise[i], p.timestamp) for i, p in enumerate(poses)
-        ]
+        xyz = xyz + rng_trans.normal(0.0, spec.noise_sigma_trans, size=(n, 3))
 
     if spec.noise_sigma_rot > 0.0:
-        axes = rng_rot.normal(size=(len(poses), 3))
+        axes = rng_rot.normal(size=(n, 3))
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        angles = rng_rot.normal(0.0, spec.noise_sigma_rot, size=len(poses))
-        noisy = []
-        for i, p in enumerate(poses):
-            wobble = Rotation.from_axis_angle(axes[i], float(angles[i]))
-            noisy.append(Pose(Rotation(quat_mul(wobble.q, p.rotation.q)), p.translation, p.timestamp))
-        poses = noisy
+        angles = rng_rot.normal(0.0, spec.noise_sigma_rot, size=n)
+        wobble = quat_normalize(quat_from_axis_angle(axes, angles))
+        q = quat_normalize(quat_mul(wobble, q))
 
     if spec.dropout_fraction > 0.0:
-        n = len(poses)
         n_drop = min(int(round(n * spec.dropout_fraction)), n - 1)
-        drop = set(rng_drop.choice(n, size=n_drop, replace=False).tolist())
-        poses = [p for i, p in enumerate(poses) if i not in drop]
+        keep = np.ones(n, dtype=bool)
+        keep[rng_drop.choice(n, size=n_drop, replace=False)] = False
+        t, xyz, q = t[keep], xyz[keep], q[keep]
 
-    return Trajectory(tuple(poses), gt.traj_id)
+    return Trajectory.from_arrays(t, xyz, q, gt.traj_id)

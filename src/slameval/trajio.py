@@ -16,6 +16,7 @@ first matches poses by nearest timestamp within a tolerance.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +25,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import Pose, Rotation, Trajectory
+from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, quat_normalize
 
 __all__ = [
     "Association",
@@ -70,58 +71,67 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
 
     Raises ParseError with the offending line number for malformed
     lines, non-increasing timestamps, or quaternions whose norm falls
-    outside [0.9, 1.1].
+    outside [0.9, 1.1]. The earliest bad line wins; within one line the
+    checks run in that order: field count, numeric, finite, increasing,
+    quaternion norm.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    rows = [
+        (line_no, fields)
+        for line_no, raw in enumerate(lines, start=1)
+        if (fields := raw.split()) and not fields[0].startswith("#")
+    ]
 
-    poses: list[Pose] = []
-    prev_ts: float | None = None
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 8:
-            raise ParseError(f"expected 8 fields, got {len(fields)}", line_no)
+    # (message, line_no) of the earliest defect; each check sees only the rows before it
+    n = next((i for i, (_, fields) in enumerate(rows) if len(fields) != 8), len(rows))
+    defect = (f"expected 8 fields, got {len(rows[n][1])}", rows[n][0]) if n < len(rows) else None
+    values = []
+    for line_no, fields in rows[:n]:
         try:
-            ts, tx, ty, tz, qx, qy, qz, qw = (float(f) for f in fields)
+            values.append(list(map(float, fields)))
         except ValueError:
-            raise ParseError(f"non-numeric field in {line!r}", line_no) from None
-        if not all(math.isfinite(v) for v in (ts, tx, ty, tz, qx, qy, qz, qw)):
-            raise ParseError("non-finite value", line_no)
-        if prev_ts is not None and ts <= prev_ts:
-            raise ParseError(
-                f"timestamp {ts!r} does not increase over previous {prev_ts!r}", line_no
-            )
-        prev_ts = ts
-        try:
-            rotation = Rotation(np.array([qw, qx, qy, qz]))
-        except ValidationError as exc:
-            raise ParseError(str(exc), line_no) from None
-        poses.append(Pose(rotation, np.array([tx, ty, tz]), ts))
+            defect = (f"non-numeric field in {lines[line_no - 1].strip()!r}", line_no)
+            break
+    data = np.array(values, dtype=float).reshape(-1, 8)
 
-    if not poses:
+    ts, q = data[:, 0], data[:, [7, 4, 5, 6]]
+    norm = np.linalg.norm(q, axis=-1)
+    non_finite = ~np.isfinite(data).all(axis=1)
+    not_increasing = np.concatenate([[False], ts[1:] <= ts[:-1]])
+    wild_norm = (norm < _QUAT_NORM_MIN) | (norm > _QUAT_NORM_MAX)
+    bad = np.flatnonzero(non_finite | not_increasing | wild_norm)
+    if bad.size:
+        i = int(bad[0])
+        if non_finite[i]:
+            message = "non-finite value"
+        elif not_increasing[i]:
+            previous, current = ts[i - 1 : i + 1].tolist()
+            message = f"timestamp {current!r} does not increase over previous {previous!r}"
+        else:
+            message = f"quaternion norm {norm[i]:.6g} outside [{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
+        defect = (message, rows[i][0])
+    if defect is not None:
+        raise ParseError(*defect)
+    if not rows:
         raise ValidationError("no pose lines found; a trajectory needs at least one pose")
-    return Trajectory(tuple(poses), traj_id)
+    return Trajectory.from_arrays(ts, data[:, 1:4], quat_normalize(q), traj_id)
 
 
 def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
-    """Read a TUM-format file; traj_id defaults to the file stem."""
+    """Read a TUM-format file; traj_id defaults to the file stem.
+
+    Lines end at LF, CR or CRLF, as in a text-mode file. Bytes that are
+    not UTF-8 raise ParseError with their line number.
+    """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fp:
-        return parse_tum(fp, traj_id if traj_id is not None else path.stem)
-
-
-def _format_pose(p: Pose) -> str:
-    w, x, y, z = p.rotation.q
-    tx, ty, tz = p.translation
-    return (
-        f"{p.timestamp:.9f} {tx:.12f} {ty:.12f} {tz:.12f} "
-        f"{x:.12f} {y:.12f} {z:.12f} {w:.12f}"
-    )
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((data[: exc.start] + b"x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line_no) from None
+    lines = io.StringIO(text, newline=None)
+    return parse_tum(lines, traj_id if traj_id is not None else path.stem)
 
 
 def dumps_tum(traj: Trajectory) -> str:
@@ -130,11 +140,12 @@ def dumps_tum(traj: Trajectory) -> str:
     Fixed-decimal formatting; parse_tum(dumps_tum(t)) matches t within
     1e-9 per pose in translation, rotation angle, and timestamp.
     """
-    missing = [i for i, p in enumerate(traj.poses) if p.timestamp is None]
-    if missing:
+    missing = np.flatnonzero(np.isnan(traj.t))
+    if missing.size:
         raise ValidationError(f"pose {missing[0]} has no timestamp; cannot write TUM format")
-    header = "# timestamp tx ty tz qx qy qz qw\n"
-    return header + "".join(_format_pose(p) + "\n" for p in traj.poses)
+    rows = np.hstack([traj.t[:, None], traj.xyz, traj.q[:, 1:], traj.q[:, :1]]).tolist()
+    line = "%.9f" + " %.12f" * 7 + "\n"
+    return "# timestamp tx ty tz qx qy qz qw\n" + "".join(line % tuple(row) for row in rows)
 
 
 def write_tum(traj: Trajectory, stream: IO[str]) -> None:

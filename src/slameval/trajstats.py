@@ -86,7 +86,7 @@ def resample_stride(t: Trajectory, stride: int) -> Trajectory:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if stride == 1:
         return t
-    return Trajectory(t.poses[::stride], t.traj_id)
+    return t.subset(np.arange(0, len(t), stride))
 
 
 def cohort_stats(stats: Sequence[SequenceStats]) -> SequenceStats:

@@ -3,10 +3,14 @@ import math
 
 import pytest
 
+from slameval import batch
 from slameval.batch import BatchOptions, load_manifest, run_batch
+from slameval.cli import EXIT_BAD_INPUT, main
 from slameval.errors import ValidationError
 from slameval.report import dump_json, summary_to_dict, write_report_bundle
 from slameval.synth import PerturbationSpec, random_trajectory
+from slameval.trajio import associate, associate_by_index, load_tum
+from slameval.trajstats import resample_stride
 
 from conftest import build_synth_cohort, write_manifest
 
@@ -64,6 +68,39 @@ def test_manifest_rejects_unknown_options(tmp_path):
     )
     with pytest.raises(ValidationError):
         load_manifest(path)
+
+
+_ENTRY = {"sequence_id": "a", "gt_path": "g.txt", "estimate_paths": ["e.txt"]}
+
+
+@pytest.mark.parametrize("sequences, options", [
+    ([dict(_ENTRY, estimate_paths="e.txt")], {}),
+    ([dict(_ENTRY, estimate_paths=["e.txt", 3])], {}),
+    ([_ENTRY], {"rpe_delta": "2"}),
+    ([_ENTRY], {"rpe_delta": True}),
+    ([_ENTRY], {"rpe_delta": 1.5}),
+    ([_ENTRY], {"stride": "2"}),
+    ([_ENTRY], {"stride": True}),
+    ([_ENTRY], {"stride": 1.5}),
+    ([_ENTRY], {"max_time_diff": math.nan}),
+    ([_ENTRY], {"max_time_diff": math.inf}),
+    ([_ENTRY], {"max_time_diff": "0.02"}),
+    ([_ENTRY], {"min_tracked": math.nan}),
+    ([_ENTRY], {"min_tracked": None}),
+    ([_ENTRY], {"gap_ratio_min": -math.inf}),
+    ([_ENTRY], {"gap_ratio_min": False}),
+    ([_ENTRY], {"index_identity_association": "yes"}),
+    ([_ENTRY], [["stride", 2]]),
+    (5, {}),
+])
+def test_manifest_rejects_bad_values(tmp_path, capsys, sequences, options):
+    path = tmp_path / "m.json"
+    doc = {"schema_version": 1, "options": options, "sequences": sequences}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValidationError):
+        load_manifest(path)
+    assert main(["batch", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
 
 
 def test_manifest_rejects_bad_json(tmp_path):
@@ -128,6 +165,42 @@ def test_batch_stride_option(tmp_path):
     v1 = base.summary.results[0].stats.mean_vel_per_frame
     v2 = strided.summary.results[0].stats.mean_vel_per_frame
     assert v2 / v1 == pytest.approx(2.0, rel=0.02)
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("by_index", [False, True])
+def test_stride_keeps_estimates_with_gaps_in_phase(tmp_path, monkeypatch, stride, by_index):
+    gt = random_trajectory(seed=130, n=3000, step_mean=0.006, turn_mean=0.02)
+    spec = PerturbationSpec(noise_sigma_trans=0.002, dropout_fraction=0.05, seed=131)
+    path = build_synth_cohort(tmp_path, [("gap", gt, [spec])])
+    doc = json.loads(path.read_text())
+    doc["options"] = {"stride": stride, "index_identity_association": by_index}
+    path.write_text(json.dumps(doc))
+
+    seen = []
+    ate = batch.ate
+    monkeypatch.setattr(batch, "ate", lambda g, e, a: seen.append(a) or ate(g, e, a))
+    outcome = run_batch(load_manifest(path))
+
+    gt = load_tum(tmp_path / "gt/gap.txt")
+    est = load_tum(tmp_path / "est/gap_run0.txt")
+    full = associate_by_index(gt, est) if by_index else associate(gt, est, 0.02)
+    kept = {(i // stride, j) for i, j in full.pairs if i % stride == 0}
+    assert set(seen[0].pairs) == kept
+    tracked = outcome.summary.results[0].median_record.tracked_fraction
+    assert tracked == len(kept) / len(resample_stride(gt, stride))
+    if not by_index:
+        assert tracked == pytest.approx(0.95, abs=0.03)
+
+
+def test_batch_isolates_non_utf8_files(tmp_path):
+    path = _small_cohort(tmp_path)
+    bad = tmp_path / "est/seq_01_run1.txt"
+    bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff", 1))
+    outcome = run_batch(load_manifest(path))
+    assert outcome.evaluated_count == 4
+    (failure,) = outcome.failures
+    assert failure.path == str(bad) and failure.error.startswith("line 2:")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from slameval.cli import EXIT_BAD_INPUT, EXIT_EMPTY_ASSOCIATION, EXIT_OK, main
 from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import load_tum, save_tum
 
-from conftest import build_synth_cohort
+from conftest import build_synth_cohort, write_manifest
 
 
 @pytest.fixture
@@ -74,6 +74,29 @@ def test_bad_input_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == EXIT_BAD_INPUT
     assert "line 1" in err
+
+
+def test_non_utf8_input_exit_code(traj_files, tmp_path, capsys):
+    gt_path, _ = traj_files
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 0 0 0 0 0 0 1\n1 0 0 0 0 0 0 \xff1\n")
+    code = main(["ate", str(gt_path), str(bad)])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("jobs", ["x", "0", "-2", ""])
+def test_bad_jobs_variable_exit_code(traj_files, tmp_path, monkeypatch, capsys, jobs):
+    gt_path, drift_path = traj_files
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        [{"sequence_id": "a", "gt_path": str(gt_path), "estimate_paths": [str(drift_path)]}],
+    )
+    monkeypatch.setenv("SLAMEVAL_JOBS", jobs)
+    code = main(["batch", str(manifest), "--out", str(tmp_path / "r")])
+    assert code == EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -211,3 +211,11 @@ def test_parse_is_locale_independent():
     # '.' decimal separator is hard-coded; ',' must fail loudly
     with pytest.raises(ParseError):
         parse_tum("0 0 0 0 0 0 0 1,0")
+
+
+def test_load_rejects_non_utf8_with_line_number(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# h\n0 0 0 0 0 0 0 1\r1 0 0 0 0 0 0 1\n2 \xe9 0 0 0 0 0 1\n")
+    with pytest.raises(ParseError) as err:
+        load_tum(path)
+    assert err.value.line_no == 4
