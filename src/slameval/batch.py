@@ -51,7 +51,7 @@ from .cohort import CohortSummary, MetricRecord, SequenceResult, summarize
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe
 from .geom3d import Trajectory
-from .trajio import Association, load_tum, associate, associate_by_index
+from .trajio import load_tum, associate, associate_by_index
 from .trajstats import resample_stride, sequence_stats
 
 __all__ = [
@@ -206,12 +206,10 @@ def evaluate_run(
             assoc = associate(gt, est, options.max_time_diff)
     except EmptyAssociationError:
         return _failed_record()
-    s = options.stride
-    if s > 1:
-        pairs = tuple((i // s, j) for i, j in assoc.pairs if i % s == 0)
-        if not pairs:
+    if options.stride > 1:
+        assoc = assoc.strided(options.stride)
+        if not len(assoc):
             return _failed_record()
-        assoc = Association(pairs, assoc.max_time_diff)
 
     tracked = len(assoc) / len(gt_strided)
     ate_report = ate(gt_strided, est, assoc)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,7 +68,8 @@ def quat_normalize(q: np.ndarray, check: bool = False) -> np.ndarray:
     [0.9, 1.1] instead of silently rescaling wild inputs.
     """
     q = np.asarray(q, dtype=float)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    # the reduction np.linalg.norm makes along an axis, without its dispatch
+    norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
     if check:
         bad = (norm < _QUAT_NORM_MIN) | (norm > _QUAT_NORM_MAX)
         if np.any(bad):
@@ -109,10 +111,12 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Rotate vectors v (..., 3) by unit quaternions q (..., 4)."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    u = q[..., 1:]
-    w = q[..., :1]
-    uv = np.cross(u, v)
-    return v + 2.0 * (w * uv + np.cross(u, uv))
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
+    # v + 2 (w (u x v) + u x (u x v)) for u = (x, y, z), with np.cross's products
+    ax, ay, az = y * vz - z * vy, z * vx - x * vz, x * vy - y * vx
+    bx, by, bz = y * az - z * ay, z * ax - x * az, x * ay - y * ax
+    return v + 2.0 * np.stack([w * ax + bx, w * ay + by, w * az + bz], axis=-1)
 
 
 def quat_angle(q: np.ndarray) -> np.ndarray:
@@ -135,10 +139,15 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
     """Convert unit quaternions (..., 4) to rotation matrices (..., 3, 3)."""
     q = np.asarray(q, dtype=float)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    row0 = np.stack([1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)], axis=-1)
-    row1 = np.stack([2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)], axis=-1)
-    row2 = np.stack([2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    m = np.stack(
+        [
+            1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y),
+            2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x),
+            2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y),
+        ],
+        axis=-1,
+    )
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:
@@ -151,8 +160,10 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     if m.shape != (3, 3):
         raise ValidationError(f"expected 3x3 rotation matrix, got shape {m.shape}")
     # a reflection (det = -1) would convert silently into some unrelated
-    # rotation; reject anything far from orthonormal-with-positive-det
-    if not np.allclose(m @ m.T, np.eye(3), atol=0.1) or np.linalg.det(m) < 0.5:
+    # rotation; reject anything far from orthonormal-with-positive-det. The
+    # bound is np.allclose(m m^T, I, atol=0.1) spelled out; NaN fails it too.
+    eye = np.eye(3)
+    if not (np.abs(m @ m.T - eye) <= 0.1 + 1e-5 * eye).all() or np.linalg.det(m) < 0.5:
         raise ValidationError("matrix is not a rotation (must be orthogonal with det +1)")
     tr = m[0, 0] + m[1, 1] + m[2, 2]
     if tr > 0.0:
@@ -228,10 +239,12 @@ class Rotation:
     def from_matrix(cls, m: np.ndarray) -> "Rotation":
         return cls(quat_from_matrix(m))
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The equivalent 3x3 rotation matrix (derived on demand)."""
-        return quat_to_matrix(self.q)
+        """The equivalent 3x3 rotation matrix, read-only, derived once on first use."""
+        m = quat_to_matrix(self.q)
+        m.setflags(write=False)
+        return m
 
     def inverse(self) -> "Rotation":
         return Rotation(quat_conj(self.q))

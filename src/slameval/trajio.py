@@ -25,7 +25,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, quat_normalize
+from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, _view, quat_normalize
 
 __all__ = [
     "Association",
@@ -43,27 +43,72 @@ __all__ = [
 DEFAULT_MAX_TIME_DIFF = 0.02
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Association:
-    """Matched (gt_index, est_index) pairs after time synchronization.
+    """Matched pose pairs after time synchronization, as two index arrays.
 
-    Each index appears at most once per side and pairs are sorted by
-    ground-truth timestamp (equivalently gt index).
+    Pair k is (gt_indices[k], est_indices[k]); both are read-only int
+    arrays. Each index appears at most once per side and pairs are sorted
+    by ground-truth timestamp (equivalently gt index).
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    gt_indices: np.ndarray
+    est_indices: np.ndarray
     max_time_diff: float
 
+    def __init__(self, pairs: Iterable[tuple[int, int]], max_time_diff: float):
+        idx = np.array(pairs, dtype=int).reshape(-1, 2)
+        vars(self).update(vars(Association.from_indices(idx[:, 0], idx[:, 1], max_time_diff)))
+
+    @classmethod
+    def from_indices(cls, gt_indices, est_indices, max_time_diff: float) -> "Association":
+        """An association over read-only copies of the two index arrays."""
+        gi, ei = np.array(gt_indices, dtype=int), np.array(est_indices, dtype=int)
+        gi.setflags(write=False)
+        ei.setflags(write=False)
+        return _view(cls, gt_indices=gi, est_indices=ei, max_time_diff=max_time_diff)
+
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.gt_indices)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Association):
+            return NotImplemented
+        return self.pairs == other.pairs and self.max_time_diff == other.max_time_diff
 
     @property
-    def gt_indices(self) -> np.ndarray:
-        return np.array([p[0] for p in self.pairs], dtype=int)
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(self.gt_indices.tolist(), self.est_indices.tolist()))
 
-    @property
-    def est_indices(self) -> np.ndarray:
-        return np.array([p[1] for p in self.pairs], dtype=int)
+    def strided(self, s: int) -> "Association":
+        """The pairs on every s-th gt pose, re-indexed into gt resampled at stride s."""
+        keep = self.gt_indices % s == 0
+        return Association.from_indices(
+            self.gt_indices[keep] // s, self.est_indices[keep], self.max_time_diff
+        )
+
+
+def _is_pose_line(raw: str) -> bool:
+    head = raw.lstrip()
+    return head != "" and head[0] != "#"
+
+
+def _line_numbers(lines: list[str]) -> list[int]:
+    """The 1-based line number of each pose line, for error messages."""
+    return [line_no for line_no, raw in enumerate(lines, start=1) if _is_pose_line(raw)]
+
+
+def _loadtxt(pose_lines: list[str]) -> np.ndarray | None:
+    """All pose lines as an (n, 8) array in one call, or None if any line is not
+    eight numbers that loadtxt reads; the caller then parses line by line, which
+    also accepts what only float() reads (such as '1_0') and finds the defect."""
+    if not pose_lines:
+        return None
+    try:
+        data = np.loadtxt(pose_lines, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return data if data.shape == (len(pose_lines), 8) else None
 
 
 def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Trajectory:
@@ -76,23 +121,25 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     quaternion norm.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
-    rows = [
-        (line_no, fields)
-        for line_no, raw in enumerate(lines, start=1)
-        if (fields := raw.split()) and not fields[0].startswith("#")
-    ]
+    pose_lines = list(filter(_is_pose_line, lines))
+    data = _loadtxt(pose_lines)
 
     # (message, line_no) of the earliest defect; each check sees only the rows before it
-    n = next((i for i, (_, fields) in enumerate(rows) if len(fields) != 8), len(rows))
-    defect = (f"expected 8 fields, got {len(rows[n][1])}", rows[n][0]) if n < len(rows) else None
-    values = []
-    for line_no, fields in rows[:n]:
-        try:
-            values.append(list(map(float, fields)))
-        except ValueError:
-            defect = (f"non-numeric field in {lines[line_no - 1].strip()!r}", line_no)
-            break
-    data = np.array(values, dtype=float).reshape(-1, 8)
+    defect = None
+    if data is None:
+        line_nos = _line_numbers(lines)
+        rows = [raw.split() for raw in pose_lines]
+        n = next((i for i, fields in enumerate(rows) if len(fields) != 8), len(rows))
+        if n < len(rows):
+            defect = (f"expected 8 fields, got {len(rows[n])}", line_nos[n])
+        values = []
+        for k, fields in enumerate(rows[:n]):
+            try:
+                values.append(list(map(float, fields)))
+            except ValueError:
+                defect = (f"non-numeric field in {pose_lines[k].strip()!r}", line_nos[k])
+                break
+        data = np.array(values, dtype=float).reshape(-1, 8)
 
     ts, q = data[:, 0], data[:, [7, 4, 5, 6]]
     norm = np.linalg.norm(q, axis=-1)
@@ -109,10 +156,10 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
             message = f"timestamp {current!r} does not increase over previous {previous!r}"
         else:
             message = f"quaternion norm {norm[i]:.6g} outside [{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
-        defect = (message, rows[i][0])
+        defect = (message, _line_numbers(lines)[i])
     if defect is not None:
         raise ParseError(*defect)
-    if not rows:
+    if not pose_lines:
         raise ValidationError("no pose lines found; a trajectory needs at least one pose")
     return Trajectory.from_arrays(ts, data[:, 1:4], quat_normalize(q), traj_id)
 
@@ -173,6 +220,13 @@ def associate(
     neither index is already matched. The greedy order makes the result
     deterministic and symmetric under swapping the two inputs.
 
+    Most candidates are uncontested: their gt index and their est index
+    each occur in no other candidate. Greedy selection accepts every such
+    candidate whatever its place in the order, since only a candidate
+    sharing an index could have claimed one first, and accepting it
+    claims no index another candidate needs. So uncontested candidates
+    are accepted at once, and the greedy loop runs over the rest only.
+
     Raises EmptyAssociationError when nothing matches.
     """
     ts_gt = gt.timestamps()
@@ -182,34 +236,35 @@ def associate(
     if max_time_diff < 0:
         raise ValidationError("max_time_diff must be non-negative")
 
-    # For each gt stamp, scan only the est window within the tolerance.
-    candidates: list[tuple[float, float, float, int, int]] = []
+    # Candidates: for each gt stamp, the est window within the tolerance, flattened.
     lo = np.searchsorted(ts_est, ts_gt - max_time_diff, side="left")
     hi = np.searchsorted(ts_est, ts_gt + max_time_diff, side="right")
-    for i, t in enumerate(ts_gt):
-        for j in range(int(lo[i]), int(hi[i])):
-            dt = abs(t - ts_est[j])
-            if dt <= max_time_diff:
-                candidates.append((dt, t, float(ts_est[j]), i, j))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    counts = hi - lo
+    gi = np.repeat(np.arange(len(ts_gt)), counts)
+    ej = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(gi))
+    dt = np.abs(ts_gt[gi] - ts_est[ej])
+    within = dt <= max_time_diff
+    gi, ej, dt = gi[within], ej[within], dt[within]
 
+    accepted = (np.bincount(gi)[gi] == 1) & (np.bincount(ej)[ej] == 1)
+    contested = np.flatnonzero(~accepted)
+    order = contested[np.lexsort((ts_est[ej[contested]], ts_gt[gi[contested]], dt[contested]))]
     used_gt: set[int] = set()
     used_est: set[int] = set()
-    pairs: list[tuple[int, int]] = []
-    for _, _, _, i, j in candidates:
+    for k, i, j in zip(order.tolist(), gi[order].tolist(), ej[order].tolist()):
         if i in used_gt or j in used_est:
             continue
         used_gt.add(i)
         used_est.add(j)
-        pairs.append((i, j))
+        accepted[k] = True
 
-    if not pairs:
+    if not accepted.any():
         raise EmptyAssociationError(
             f"no timestamp pairs within {max_time_diff} s between "
             f"{gt.traj_id or 'gt'} and {est.traj_id or 'est'}"
         )
-    pairs.sort(key=lambda p: p[0])
-    return Association(tuple(pairs), max_time_diff)
+    # candidates run in gt order, and each gt index is accepted at most once
+    return Association.from_indices(gi[accepted], ej[accepted], max_time_diff)
 
 
 def associate_by_index(gt: Trajectory, est: Trajectory) -> Association:
@@ -218,6 +273,5 @@ def associate_by_index(gt: Trajectory, est: Trajectory) -> Association:
     Rendered or synthetic datasets pose the estimate frame-for-frame
     against ground truth, so matching (i, i) skips the timestamp search.
     """
-    n = min(len(gt), len(est))
-    pairs = tuple((i, i) for i in range(n))
-    return Association(pairs, math.inf)
+    idx = np.arange(min(len(gt), len(est)))
+    return Association.from_indices(idx, idx, math.inf)

@@ -1,9 +1,10 @@
 """Pose-by-pose reference implementations of the columnar trajectory code.
 
-These are the loop versions of TUM parsing and writing, of the
-synthetic generator and of the perturbation stages, built one ``Pose``
-and ``Rotation`` at a time. The tests require the array code in
-``slameval`` to reproduce them bit for bit, including every ParseError.
+These are the loop versions of TUM parsing and writing, of timestamp
+association, of the synthetic generator and of the perturbation stages,
+built one ``Pose``, ``Rotation`` or candidate pair at a time. The tests
+require the array code in ``slameval`` to reproduce them bit for bit,
+including every ParseError.
 Rotations about an axis come from ``_axis_angle``, a one-axis-at-a-time
 quaternion formula that shares no code with the broadcasting one.
 """
@@ -15,9 +16,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from slameval.errors import ParseError, SlamEvalError, ValidationError
+from slameval.errors import EmptyAssociationError, ParseError, SlamEvalError, ValidationError
 from slameval.geom3d import Pose, Rotation, Trajectory, compose, quat_mul, quat_normalize
 from slameval.synth import PerturbationSpec, _smooth_profile
+from slameval.trajio import Association
 
 
 def _axis_angle(axis, angle: float) -> Rotation:
@@ -70,6 +72,44 @@ def outcome(parse, source):
         return parse(source)
     except SlamEvalError as exc:
         return type(exc), str(exc), getattr(exc, "line_no", None)
+
+
+def associate(gt: Trajectory, est: Trajectory, max_time_diff: float = 0.02) -> Association:
+    """Greedy nearest-timestamp matching, one candidate pair at a time."""
+    ts_gt = gt.timestamps()
+    ts_est = est.timestamps()
+    if ts_gt is None or ts_est is None:
+        raise ValidationError("association requires timestamps on every pose of both trajectories")
+    if max_time_diff < 0:
+        raise ValidationError("max_time_diff must be non-negative")
+
+    candidates: list[tuple[float, float, float, int, int]] = []
+    lo = np.searchsorted(ts_est, ts_gt - max_time_diff, side="left")
+    hi = np.searchsorted(ts_est, ts_gt + max_time_diff, side="right")
+    for i, t in enumerate(ts_gt):
+        for j in range(int(lo[i]), int(hi[i])):
+            dt = abs(t - ts_est[j])
+            if dt <= max_time_diff:
+                candidates.append((dt, t, float(ts_est[j]), i, j))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+
+    used_gt: set[int] = set()
+    used_est: set[int] = set()
+    pairs: list[tuple[int, int]] = []
+    for _, _, _, i, j in candidates:
+        if i in used_gt or j in used_est:
+            continue
+        used_gt.add(i)
+        used_est.add(j)
+        pairs.append((i, j))
+
+    if not pairs:
+        raise EmptyAssociationError(
+            f"no timestamp pairs within {max_time_diff} s between "
+            f"{gt.traj_id or 'gt'} and {est.traj_id or 'est'}"
+        )
+    pairs.sort(key=lambda p: p[0])
+    return Association(tuple(pairs), max_time_diff)
 
 
 def _format_pose(p: Pose) -> str:
