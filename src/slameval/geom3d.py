@@ -85,7 +85,12 @@ def quat_normalize(q: np.ndarray, check: bool = False) -> np.ndarray:
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a * b, broadcasting over leading axes."""
+    """Hamilton product a * b, broadcasting over leading axes.
+
+    The vector terms are summed in pairs that cancel exactly in conj(q) * q,
+    so the relative rotation between two equal orientations is exactly the
+    identity, not a rounding-sized rotation.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     w1, x1, y1, z1 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
@@ -93,9 +98,9 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.stack(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+            (w1 * x2 + x1 * w2) + (y1 * z2 - z1 * y2),
+            (w1 * y2 + y1 * w2) + (z1 * x2 - x1 * z2),
+            (w1 * z2 + z1 * w2) + (x1 * y2 - y1 * x2),
         ],
         axis=-1,
     )
@@ -120,19 +125,14 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def quat_angle(q: np.ndarray) -> np.ndarray:
-    """Rotation angle in [0, pi] via arccos((tr(R) - 1) / 2).
+    """Rotation angle in [0, pi] as 2 atan2(||(x, y, z)||, |w|).
 
-    The trace is assembled from the same diagonal terms as
-    ``quat_to_matrix`` and the arccos argument is clamped to [-1, 1];
-    without the clamp rounding can push it out of domain near 0 and pi.
+    Accurate at every magnitude: the arccos of the trace it replaces
+    quantizes near 0, where 1e-9 rad read as 0 and 1e-7 rad was 1% off.
     """
     q = np.asarray(q, dtype=float)
-    x, y, z = q[..., 1], q[..., 2], q[..., 3]
-    m00 = 1.0 - 2.0 * (y * y + z * z)
-    m11 = 1.0 - 2.0 * (x * x + z * z)
-    m22 = 1.0 - 2.0 * (x * x + y * y)
-    tr = m00 + m11 + m22
-    return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+    v = q[..., 1:]
+    return 2.0 * np.arctan2(np.sqrt(np.add.reduce(v * v, axis=-1)), np.abs(q[..., 0]))
 
 
 def quat_to_matrix(q: np.ndarray) -> np.ndarray:
@@ -443,7 +443,7 @@ def rot(p: Pose) -> Rotation:
 
 
 def angle_of(r: Rotation) -> float:
-    """Rotation angle in [0, pi]: arccos of the clamped (tr(R) - 1) / 2."""
+    """Rotation angle in [0, pi]: 2 atan2(||(x, y, z)||, |w|) of its quaternion."""
     return float(quat_angle(r.q))
 
 

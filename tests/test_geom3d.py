@@ -12,6 +12,7 @@ from slameval.geom3d import (
     apply,
     compose,
     inverse,
+    quat_angle,
     relative,
     trans,
 )
@@ -155,6 +156,15 @@ def test_angle_of_is_axis_invariant():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         assert abs(angle_of(Rotation.from_axis_angle(axis, theta)) - theta) <= 1e-9
+
+
+@pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-4, 1.0, math.pi - 1e-7])
+def test_angle_of_is_accurate_near_zero_and_pi(theta):
+    # arccos of the trace read 1e-9 rad as 0 and 1e-7 rad 1% off
+    axis = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    r = Rotation(np.concatenate([[math.cos(theta / 2)], math.sin(theta / 2) * axis]))
+    assert abs(angle_of(r) - theta) <= 1e-14 * theta
+    assert abs(quat_angle(np.stack([r.q, r.q]))[1] - theta) <= 1e-14 * theta
 
 
 def test_relative_examples():
