@@ -23,11 +23,14 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import shutil
 from dataclasses import asdict
 from pathlib import Path
 
 from .batch import BatchOptions, BatchOutcome, MANIFEST_SCHEMA_VERSION
 from .cohort import METRIC_FIELDS, MetricRecord, SequenceResult
+from .errors import ValidationError
 from .svgplot import bar_chart, cdf_chart
 from .trajstats import SequenceStats, cohort_stats
 
@@ -140,9 +143,43 @@ def write_report_bundle(
     out_dir: str | Path,
     svg: bool = False,
 ) -> list[Path]:
-    """Write the bundle into out_dir; returns the files written."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Write the bundle into out_dir, replacing any bundle there; returns the files written.
+
+    The files go into a temporary sibling directory that is then renamed
+    into place, so a rerun leaves no file of an earlier bundle behind and a
+    failed write leaves the earlier bundle whole. An existing out_dir must
+    be empty or hold a ``summary.json``; anything else is not replaced.
+    """
+    target = Path(os.path.abspath(out_dir))
+    replaceable = target.is_dir() and (
+        (target / "summary.json").is_file() or not any(target.iterdir())
+    )
+    if target.exists() and not replaceable:
+        raise ValidationError(
+            f"{out_dir} is neither an empty directory nor a report bundle; not replacing it"
+        )
+    target.parent.mkdir(parents=True, exist_ok=True)
+    staging = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}")
+    staging.mkdir()
+    try:
+        written = _write_files(outcome, options, staging, svg)
+        if target.exists():
+            old = staging.with_name(staging.name + ".old")
+            target.rename(old)
+            try:
+                staging.rename(target)
+            except OSError:
+                old.rename(target)
+                raise
+            shutil.rmtree(old)
+        else:
+            staging.rename(target)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return [Path(out_dir) / path.name for path in written]
+
+
+def _write_files(outcome: BatchOutcome, options: BatchOptions, out_dir: Path, svg: bool) -> list[Path]:
     written: list[Path] = []
 
     summary_path = out_dir / "summary.json"

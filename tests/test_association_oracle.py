@@ -62,6 +62,15 @@ def test_grid_stamps_with_exact_ties_match_candidate_loop(seed):
             _check(gt, est, tol)
 
 
+def test_decimal_stamps_on_the_tolerance_boundary_match_candidate_loop():
+    # decimal stamps sit on the tolerance up to rounding, so some searchsorted
+    # windows hold candidates whose |dt| exceeds it and must be dropped
+    t = np.arange(100) * 0.1
+    for offset in (0.05, 0.1):
+        for tol in (0.05, 0.1, 0.3):
+            _check(_stamped(t), _stamped(t + offset), tol)
+
+
 def test_frame_rate_jitter_and_dropout_match_candidate_loop():
     # the batch case: 30 Hz ground truth, a jittered estimate with dropped frames
     rng = np.random.default_rng(7)

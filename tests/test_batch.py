@@ -224,6 +224,53 @@ def test_report_bundle_files(tmp_path):
     assert header == "threshold,fraction"
 
 
+def _bundle_bytes(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def test_report_rerun_without_svg_leaves_no_stale_files(tmp_path):
+    manifest = _small_cohort(tmp_path)
+    out = tmp_path / "report"
+    assert main(["batch", str(manifest), "--out", str(out), "--svg"]) == 0
+    assert any(f.suffix == ".svg" for f in out.iterdir())
+    assert main(["batch", str(manifest), "--out", str(out)]) == 0
+    assert not any(f.suffix == ".svg" for f in out.iterdir())
+    assert sorted(f.name for f in tmp_path.iterdir() if f.name.startswith(".report")) == []
+
+
+def test_failed_report_write_keeps_previous_bundle(tmp_path, monkeypatch):
+    manifest = load_manifest(_small_cohort(tmp_path))
+    outcome = run_batch(manifest)
+    out = tmp_path / "report"
+    write_report_bundle(outcome, manifest.options, out)
+    before = _bundle_bytes(out)
+
+    def broken_chart(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("slameval.report.bar_chart", broken_chart)
+    with pytest.raises(OSError, match="disk full"):
+        write_report_bundle(outcome, manifest.options, out, svg=True)
+    assert _bundle_bytes(out) == before
+    assert sorted(f.name for f in tmp_path.iterdir() if f.name.startswith(".report")) == []
+
+
+def test_report_refuses_to_replace_other_directories(tmp_path):
+    manifest = load_manifest(_small_cohort(tmp_path))
+    outcome = run_batch(manifest)
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "keep.txt").write_text("mine")
+    with pytest.raises(ValidationError):
+        write_report_bundle(outcome, manifest.options, tmp_path / "notes")
+    (tmp_path / "file").write_text("mine")
+    with pytest.raises(ValidationError):
+        write_report_bundle(outcome, manifest.options, tmp_path / "file")
+    assert (tmp_path / "notes" / "keep.txt").read_text() == "mine"
+    assert (tmp_path / "file").read_text() == "mine"
+    write_report_bundle(outcome, manifest.options, tmp_path / "new" / "report")
+    assert (tmp_path / "new" / "report" / "summary.json").is_file()
+
+
 def test_summary_json_round_trips_byte_identical(tmp_path):
     manifest = load_manifest(_small_cohort(tmp_path))
     outcome = run_batch(manifest)
