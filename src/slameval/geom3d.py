@@ -127,8 +127,8 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
 def quat_angle(q: np.ndarray) -> np.ndarray:
     """Rotation angle in [0, pi] as 2 atan2(||(x, y, z)||, |w|).
 
-    Accurate at every magnitude: the arccos of the trace it replaces
-    quantizes near 0, where 1e-9 rad read as 0 and 1e-7 rad was 1% off.
+    Accurate at every magnitude, unlike the arccos of the trace, which
+    reads 1e-9 rad as 0 and 1e-7 rad 1% off.
     """
     q = np.asarray(q, dtype=float)
     v = q[..., 1:]
