@@ -150,7 +150,7 @@ def write_report_bundle(
     failed write leaves the earlier bundle whole. An existing out_dir must
     be empty or hold a ``summary.json``; anything else is not replaced.
     """
-    target = Path(os.path.abspath(out_dir))
+    target = Path(os.path.realpath(out_dir))  # through a symlink, replace what it points to
     replaceable = target.is_dir() and (
         (target / "summary.json").is_file() or not any(target.iterdir())
     )

@@ -236,6 +236,10 @@ def test_report_rerun_without_svg_leaves_no_stale_files(tmp_path):
     assert main(["batch", str(manifest), "--out", str(out)]) == 0
     assert not any(f.suffix == ".svg" for f in out.iterdir())
     assert sorted(f.name for f in tmp_path.iterdir() if f.name.startswith(".report")) == []
+    link = tmp_path / "link"
+    link.symlink_to(out)
+    assert main(["batch", str(manifest), "--out", str(link), "--svg"]) == 0
+    assert link.is_symlink() and any(f.suffix == ".svg" for f in out.iterdir())
 
 
 def test_failed_report_write_keeps_previous_bundle(tmp_path, monkeypatch):
