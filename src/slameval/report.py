@@ -30,7 +30,6 @@ from pathlib import Path
 
 from .batch import BatchOptions, BatchOutcome, MANIFEST_SCHEMA_VERSION
 from .cohort import METRIC_FIELDS, MetricRecord, SequenceResult
-from .errors import ValidationError
 from .svgplot import bar_chart, cdf_chart
 from .trajstats import SequenceStats, cohort_stats
 
@@ -43,6 +42,12 @@ _METRIC_LABELS = {
     "rpe_trans": "RPE translation rmse [m]",
     "rpe_rot": "RPE rotation mean [rad]",
 }
+
+# every file name a bundle can hold
+_BUNDLE_NAMES = frozenset(
+    ["summary.json", "correlations.csv"]
+    + [f"{kind}_{m}.{ext}" for kind in ("cdf", "bars") for m in METRIC_FIELDS for ext in ("csv", "svg")]
+)
 
 
 def _clean(value):
@@ -145,38 +150,25 @@ def write_report_bundle(
 ) -> list[Path]:
     """Write the bundle into out_dir, replacing any bundle there; returns the files written.
 
-    The files go into a temporary sibling directory that is then renamed
-    into place, so a rerun leaves no file of an earlier bundle behind and a
-    failed write leaves the earlier bundle whole. An existing out_dir must
-    be empty or hold a ``summary.json``; anything else is not replaced.
+    The files are written into a hidden staging directory inside out_dir
+    and then moved over their names with os.replace; after that, the files
+    of an earlier bundle that this one does not write again (such as the
+    charts after a run without svg) are removed. A failed write leaves the
+    earlier bundle whole, and files with other names are never touched.
     """
-    target = Path(os.path.realpath(out_dir))  # through a symlink, replace what it points to
-    replaceable = target.is_dir() and (
-        (target / "summary.json").is_file() or not any(target.iterdir())
-    )
-    if target.exists() and not replaceable:
-        raise ValidationError(
-            f"{out_dir} is neither an empty directory nor a report bundle; not replacing it"
-        )
-    target.parent.mkdir(parents=True, exist_ok=True)
-    staging = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    staging = out / f".bundle.{os.getpid()}.{os.urandom(4).hex()}"
     staging.mkdir()
     try:
-        written = _write_files(outcome, options, staging, svg)
-        if target.exists():
-            old = staging.with_name(staging.name + ".old")
-            target.rename(old)
-            try:
-                staging.rename(target)
-            except OSError:
-                old.rename(target)
-                raise
-            shutil.rmtree(old)
-        else:
-            staging.rename(target)
+        staged = _write_files(outcome, options, staging, svg)
+        for path in staged:
+            os.replace(path, out / path.name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    return [Path(out_dir) / path.name for path in written]
+    for name in _BUNDLE_NAMES.difference(path.name for path in staged):
+        (out / name).unlink(missing_ok=True)
+    return [out / path.name for path in staged]
 
 
 def _write_files(outcome: BatchOutcome, options: BatchOptions, out_dir: Path, svg: bool) -> list[Path]:

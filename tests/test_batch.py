@@ -235,7 +235,7 @@ def test_report_rerun_without_svg_leaves_no_stale_files(tmp_path):
     assert any(f.suffix == ".svg" for f in out.iterdir())
     assert main(["batch", str(manifest), "--out", str(out)]) == 0
     assert not any(f.suffix == ".svg" for f in out.iterdir())
-    assert sorted(f.name for f in tmp_path.iterdir() if f.name.startswith(".report")) == []
+    assert [f.name for f in out.iterdir() if f.name.startswith(".")] == []
     link = tmp_path / "link"
     link.symlink_to(out)
     assert main(["batch", str(manifest), "--out", str(link), "--svg"]) == 0
@@ -256,23 +256,24 @@ def test_failed_report_write_keeps_previous_bundle(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         write_report_bundle(outcome, manifest.options, out, svg=True)
     assert _bundle_bytes(out) == before
-    assert sorted(f.name for f in tmp_path.iterdir() if f.name.startswith(".report")) == []
+    assert [f.name for f in out.iterdir() if f.name.startswith(".")] == []
 
 
-def test_report_refuses_to_replace_other_directories(tmp_path):
-    manifest = load_manifest(_small_cohort(tmp_path))
-    outcome = run_batch(manifest)
-    (tmp_path / "notes").mkdir()
-    (tmp_path / "notes" / "keep.txt").write_text("mine")
-    with pytest.raises(ValidationError):
-        write_report_bundle(outcome, manifest.options, tmp_path / "notes")
+def test_report_rerun_keeps_files_it_did_not_write(tmp_path):
+    manifest = _small_cohort(tmp_path)
+    # a bundle written next to the manifest and the trajectories it names
+    assert main(["batch", str(manifest), "--out", str(tmp_path), "--svg"]) == 0
+    (tmp_path / "notes.svg").write_text("mine")
+    before = sorted(f.name for f in tmp_path.rglob("*.txt"))
+    assert main(["batch", str(manifest), "--out", str(tmp_path)]) == 0
+    assert sorted(f.name for f in tmp_path.rglob("*.txt")) == before
+    assert manifest.is_file() and (tmp_path / "notes.svg").read_text() == "mine"
+    assert not (tmp_path / "cdf_ate_rmse.svg").exists()
+    assert (tmp_path / "summary.json").is_file()
+
     (tmp_path / "file").write_text("mine")
-    with pytest.raises(ValidationError):
-        write_report_bundle(outcome, manifest.options, tmp_path / "file")
-    assert (tmp_path / "notes" / "keep.txt").read_text() == "mine"
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "file")]) == 2
     assert (tmp_path / "file").read_text() == "mine"
-    write_report_bundle(outcome, manifest.options, tmp_path / "new" / "report")
-    assert (tmp_path / "new" / "report" / "summary.json").is_file()
 
 
 def test_summary_json_round_trips_byte_identical(tmp_path):
