@@ -86,26 +86,22 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     if n == 0:
         raise ValidationError("cannot align empty point sets")
 
+    p_mean = p.mean(axis=0)
+    q_mean = q.mean(axis=0)
     if n == 1:
         rot_m = np.eye(3)
+    elif n == 2:
+        rot_m = _minimal_rotation_between(p[1] - p[0], q[1] - q[0])
     else:
-        p_mean = p.mean(axis=0)
-        q_mean = q.mean(axis=0)
-        if n == 2:
-            rot_m = _minimal_rotation_between(p[1] - p[0], q[1] - q[0])
-        else:
-            h = (p - p_mean).T @ (q - q_mean)
-            u, _, vt = np.linalg.svd(h)
-            v = vt.T
-            d = np.sign(np.linalg.det(v @ u.T))
-            rot_m = v @ np.diag([1.0, 1.0, d]) @ u.T
+        h = (p - p_mean).T @ (q - q_mean)
+        u, _, vt = np.linalg.svd(h)
+        v = vt.T
+        d = np.sign(np.linalg.det(v @ u.T))
+        rot_m = v @ np.diag([1.0, 1.0, d]) @ u.T
 
-    rotation = Rotation.from_matrix(rot_m) if n > 1 else Rotation.identity()
+    rotation = Rotation.from_matrix(rot_m)
     r = rotation.matrix
-    if n == 1:
-        t = q[0] - p[0]
-    else:
-        t = q_mean - r @ p_mean
+    t = q_mean - r @ p_mean
 
     residuals = p @ r.T + t - q
     sq = np.einsum("ij,ij->i", residuals, residuals)

@@ -21,6 +21,7 @@ metric distributions but still count as failures in the success rate.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -104,14 +105,8 @@ class CohortSummary:
 
 def _median(values: Sequence[float]) -> float:
     """Median over the finite values; even counts average the central two."""
-    finite = sorted(v for v in values if not math.isnan(v))
-    if not finite:
-        return math.nan
-    k = len(finite)
-    mid = k // 2
-    if k % 2 == 1:
-        return finite[mid]
-    return 0.5 * (finite[mid - 1] + finite[mid])
+    finite = [v for v in values if not math.isnan(v)]
+    return statistics.median(finite) if finite else math.nan
 
 
 def aggregate_runs(runs: Sequence[MetricRecord]) -> MetricRecord:
@@ -138,20 +133,14 @@ def cdf(
     Thresholds must be ascending. The fractions are non-decreasing and
     reach 1.0 once the largest value is covered.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    vals = np.sort(np.asarray(values, dtype=float))
+    if not vals.size:
         raise ValidationError("cdf needs at least one value")
-    thr = [float(t) for t in thresholds]
-    if any(b < a for a, b in zip(thr, thr[1:])):
+    thr = np.asarray(thresholds, dtype=float)
+    if np.any(thr[1:] < thr[:-1]):
         raise ValidationError("thresholds must be ascending")
-    svals = sorted(vals)
-    n = len(svals)
-    out = []
-    for t in thr:
-        # rightmost position where value <= t
-        k = np.searchsorted(svals, t, side="right")
-        out.append((t, float(k) / n))
-    return tuple(out)
+    fractions = np.searchsorted(vals, thr, side="right") / vals.size
+    return tuple(zip(thr.tolist(), fractions.tolist()))
 
 
 def default_thresholds(values: Sequence[float], points: int = CDF_GRID_POINTS) -> tuple[float, ...]:
@@ -162,16 +151,15 @@ def default_thresholds(values: Sequence[float], points: int = CDF_GRID_POINTS) -
     end falls back to half the smallest positive value, and an all-zero
     input degenerates to the single threshold 0.0.
     """
-    vals = [float(v) for v in values]
-    if not vals:
+    vals = np.asarray(values, dtype=float)
+    if not vals.size:
         raise ValidationError("default_thresholds needs at least one value")
-    if any(v < 0 for v in vals):
+    if np.any(vals < 0):
         raise ValidationError("threshold grid expects non-negative values")
-    top = max(vals)
+    top = float(vals.max())
     if top == 0.0:
         return (0.0,)
-    positive = [v for v in vals if v > 0.0]
-    lo = min(positive) / 2.0
+    lo = float(vals[vals > 0.0].min()) / 2.0
     hi = 2.0 * top
     if lo == hi:
         return (hi,)
@@ -189,23 +177,17 @@ def detect_gap(
     midpoint on a log axis). Returns None when no gap qualifies or when
     fewer than 4 values are given.
     """
-    vals = [float(v) for v in values]
-    if any(v <= 0.0 for v in vals):
+    vals = np.sort(np.asarray(values, dtype=float))
+    if np.any(vals <= 0.0):
         raise ValidationError("gap detection needs strictly positive values (log scale)")
-    if len(vals) < 4:
+    if vals.size < 4:
         return None
-    vals.sort()
-    best_ratio = 0.0
-    best_i = -1
-    for i in range(len(vals) - 1):
-        ratio = vals[i + 1] / vals[i]
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_i = i
-    if best_ratio < gap_ratio_min:
+    ratios = vals[1:] / vals[:-1]
+    i = int(np.argmax(ratios))  # the first of equal maxima
+    if ratios[i] < gap_ratio_min:
         return None
-    threshold = math.sqrt(vals[best_i] * vals[best_i + 1])
-    return Gap(threshold, best_ratio)
+    lo, hi = vals[i : i + 2].tolist()
+    return Gap(math.sqrt(lo * hi), float(ratios[i]))
 
 
 def success_rate(
@@ -226,25 +208,23 @@ def _ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with ties receiving the average of their positions."""
     a = np.asarray(values, dtype=float)
     order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], len(s))  # 1-based position of each tie group's last value
+    sizes = ends - starts
     ranks = np.empty(len(a))
-    i = 0
-    while i < len(a):
-        j = i
-        while j + 1 < len(a) and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(ends - (sizes - 1) / 2, sizes)
     return ranks
 
 
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Spearman rank correlation with average ranks for ties.
+    """Spearman rank correlation: the Pearson correlation of the average ranks.
 
-    Tie-free inputs use the exact rank-difference formula
-    1 - 6 sum(d^2) / (n (n^2 - 1)); ties fall back to the Pearson
-    correlation of the rank vectors. Raises ValidationError on length
-    mismatch or fewer than 3 points, UndefinedCorrelationError when an
-    input has zero rank variance (all values equal).
+    Tied values share the average of their positions; without ties this
+    equals the rank-difference formula 1 - 6 sum(d^2) / (n (n^2 - 1)).
+    Raises ValidationError on length mismatch or fewer than 3 points,
+    UndefinedCorrelationError when an input has zero rank variance (all
+    values equal).
     """
     if len(xs) != len(ys):
         raise ValidationError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -255,11 +235,6 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     ry = _ranks(ys)
     if np.all(rx == rx[0]) or np.all(ry == ry[0]):
         raise UndefinedCorrelationError("an input has no rank variance")
-
-    ties = len(np.unique(rx)) < n or len(np.unique(ry)) < n
-    if not ties:
-        d = rx - ry
-        return 1.0 - 6.0 * float(np.dot(d, d)) / (n * (n * n - 1))
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     return float(np.dot(dx, dy) / math.sqrt(np.dot(dx, dx) * np.dot(dy, dy)))
@@ -284,47 +259,33 @@ def summarize(
         raise ValidationError("summarize needs at least one sequence result")
     results = tuple(results)
 
-    excluded = tuple(
-        r.sequence_id
-        for r in results
-        if all(math.isnan(getattr(r.median_record, m)) for m in METRIC_FIELDS)
+    # one row per sequence: the metric medians and the motion attributes
+    medians = np.array([[getattr(r.median_record, m) for m in METRIC_FIELDS] for r in results])
+    attributes = np.array(
+        [[getattr(r.stats, a) for a in ATTRIBUTE_FIELDS] for r in results], dtype=float
     )
+    finite = ~np.isnan(medians)
+    excluded = tuple(r.sequence_id for r, ok in zip(results, finite.any(axis=1)) if not ok)
 
     cdf_tables: dict[str, tuple[tuple[float, float], ...]] = {}
     sorted_bars: dict[str, tuple[float, ...]] = {}
     gaps: dict[str, Gap | None] = {}
-    for metric in METRIC_FIELDS:
-        vals = [
-            getattr(r.median_record, metric)
-            for r in results
-            if not math.isnan(getattr(r.median_record, metric))
-        ]
-        if not vals:
-            cdf_tables[metric] = ()
-            sorted_bars[metric] = ()
-            gaps[metric] = None
-            continue
-        sorted_bars[metric] = tuple(sorted(vals))
-        cdf_tables[metric] = cdf(vals, default_thresholds(vals))
-        if len(vals) >= 4 and all(v > 0.0 for v in vals):
+    for j, metric in enumerate(METRIC_FIELDS):
+        vals = np.sort(medians[finite[:, j], j], kind="stable")
+        sorted_bars[metric] = tuple(vals.tolist())
+        cdf_tables[metric] = cdf(vals, default_thresholds(vals)) if vals.size else ()
+        gaps[metric] = None
+        if vals.size >= 4 and vals[0] > 0.0:
             gaps[metric] = detect_gap(vals, gap_ratio_min)
-        else:
-            gaps[metric] = None
 
     correlations: list[tuple[str, str, float]] = []
-    for attribute in ATTRIBUTE_FIELDS:
-        for metric in METRIC_FIELDS:
-            points = [
-                (getattr(r.stats, attribute), getattr(r.median_record, metric))
-                for r in results
-                if not math.isnan(getattr(r.median_record, metric))
-            ]
-            if len(points) < 3:
+    for i, attribute in enumerate(ATTRIBUTE_FIELDS):
+        for j, metric in enumerate(METRIC_FIELDS):
+            rows = finite[:, j]
+            if rows.sum() < 3:
                 continue
-            xs = [p[0] for p in points]
-            ys = [p[1] for p in points]
             try:
-                rho = spearman(xs, ys)
+                rho = spearman(attributes[rows, i], medians[rows, j])
             except UndefinedCorrelationError:
                 continue
             correlations.append((attribute, metric, rho))

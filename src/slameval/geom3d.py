@@ -249,9 +249,6 @@ class Rotation:
     def inverse(self) -> "Rotation":
         return Rotation(quat_conj(self.q))
 
-    def rotate(self, v: Sequence[float]) -> np.ndarray:
-        return quat_rotate(self.q, np.asarray(v, dtype=float))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Rotation):
             return NotImplemented

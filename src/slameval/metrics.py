@@ -174,26 +174,19 @@ def rpe(
             raise ValidationError(
                 f"delta must satisfy 1 <= delta < {n} (associated pairs), got {delta}"
             )
-        err_t, err_r = _pair_errors(q_quat, q_trans, p_quat, p_trans, delta)
-        report_delta = delta
+        deltas = (delta,)
     else:
         if n > ALL_PAIRS_DEFAULT_CAP and not allow_large:
             raise ValidationError(
                 f"all-pairs RPE over {n} poses exceeds the cap of "
                 f"{ALL_PAIRS_DEFAULT_CAP}; pass allow_large=True to override"
             )
-        parts_t = []
-        parts_r = []
-        for d in range(1, n):
-            et, er = _pair_errors(q_quat, q_trans, p_quat, p_trans, d)
-            parts_t.append(et)
-            parts_r.append(er)
-        err_t = np.concatenate(parts_t)
-        err_r = np.concatenate(parts_r)
-        report_delta = 0
+        delta, deltas = 0, range(1, n)
+    parts = [_pair_errors(q_quat, q_trans, p_quat, p_trans, d) for d in deltas]
+    err_t, err_r = (np.concatenate(errors) for errors in zip(*parts))
 
     return RpeReport(
-        delta=report_delta,
+        delta=delta,
         mode=mode,
         trans_rmse=_rmse(err_t),
         rot_mean=_mean(err_r),

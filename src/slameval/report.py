@@ -21,6 +21,7 @@ tools, so the report spells both out.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -135,11 +136,39 @@ def summary_to_dict(outcome: BatchOutcome, options: BatchOptions) -> dict:
     return doc
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _bundle(outcome: BatchOutcome, options: BatchOptions, svg: bool) -> dict[str, str]:
+    """Every bundle file's text by file name, in the order they are written."""
+    files = {"summary.json": dump_json(summary_to_dict(outcome, options))}
+    summary = outcome.summary
+    if summary is None:
+        return files
+
+    for metric in METRIC_FIELDS:
+        table, bars = summary.cdf_tables[metric], summary.sorted_bars[metric]
+        files[f"cdf_{metric}.csv"] = _csv(
+            ["threshold", "fraction"], [[repr(t), repr(f)] for t, f in table]
+        )
+        files[f"bars_{metric}.csv"] = _csv(
+            ["rank", "value"], [[i + 1, repr(v)] for i, v in enumerate(bars)]
+        )
+        if svg:
+            label = _METRIC_LABELS[metric]
+            files[f"cdf_{metric}.svg"] = cdf_chart(table, f"Cumulative {label}", label)
+            files[f"bars_{metric}.svg"] = bar_chart(bars, f"Sorted {label}", label)
+
+    files["correlations.csv"] = _csv(
+        ["attribute", "metric", "spearman_rho"],
+        [[a, m, repr(rho)] for a, m, rho in summary.correlations],
+    )
+    return files
 
 
 def write_report_bundle(
@@ -156,69 +185,18 @@ def write_report_bundle(
     charts after a run without svg) are removed. A failed write leaves the
     earlier bundle whole, and files with other names are never touched.
     """
+    files = _bundle(outcome, options, svg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     staging = out / f".bundle.{os.getpid()}.{os.urandom(4).hex()}"
     staging.mkdir()
     try:
-        staged = _write_files(outcome, options, staging, svg)
-        for path in staged:
-            os.replace(path, out / path.name)
+        for name, text in files.items():
+            (staging / name).write_text(text, encoding="utf-8")
+        for name in files:
+            os.replace(staging / name, out / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
-    for name in _BUNDLE_NAMES.difference(path.name for path in staged):
+    for name in _BUNDLE_NAMES.difference(files):
         (out / name).unlink(missing_ok=True)
-    return [out / path.name for path in staged]
-
-
-def _write_files(outcome: BatchOutcome, options: BatchOptions, out_dir: Path, svg: bool) -> list[Path]:
-    written: list[Path] = []
-
-    summary_path = out_dir / "summary.json"
-    summary_path.write_text(dump_json(summary_to_dict(outcome, options)), encoding="utf-8")
-    written.append(summary_path)
-
-    summary = outcome.summary
-    if summary is None:
-        return written
-
-    for metric in METRIC_FIELDS:
-        cdf_path = out_dir / f"cdf_{metric}.csv"
-        _write_csv(
-            cdf_path,
-            ["threshold", "fraction"],
-            [[repr(t), repr(f)] for t, f in summary.cdf_tables[metric]],
-        )
-        written.append(cdf_path)
-
-        bars_path = out_dir / f"bars_{metric}.csv"
-        _write_csv(
-            bars_path,
-            ["rank", "value"],
-            [[i + 1, repr(v)] for i, v in enumerate(summary.sorted_bars[metric])],
-        )
-        written.append(bars_path)
-
-        if svg:
-            label = _METRIC_LABELS[metric]
-            cdf_svg = out_dir / f"cdf_{metric}.svg"
-            cdf_svg.write_text(
-                cdf_chart(summary.cdf_tables[metric], f"Cumulative {label}", label),
-                encoding="utf-8",
-            )
-            written.append(cdf_svg)
-            bars_svg = out_dir / f"bars_{metric}.svg"
-            bars_svg.write_text(
-                bar_chart(summary.sorted_bars[metric], f"Sorted {label}", label),
-                encoding="utf-8",
-            )
-            written.append(bars_svg)
-
-    corr_path = out_dir / "correlations.csv"
-    _write_csv(
-        corr_path,
-        ["attribute", "metric", "spearman_rho"],
-        [[a, m, repr(rho)] for a, m, rho in summary.correlations],
-    )
-    written.append(corr_path)
-    return written
+    return [out / name for name in files]
