@@ -52,6 +52,9 @@ ATTRIBUTE_FIELDS = ("mean_vel_per_frame", "mean_ang_vel_per_frame", "frame_count
 DEFAULT_MIN_TRACKED = 0.9
 DEFAULT_GAP_RATIO_MIN = 5.0
 CDF_GRID_POINTS = 50
+# Rank ties: sorted values within this fraction of their magnitude of the
+# previous one differ by rounding, not by order.
+TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -205,11 +208,17 @@ def success_rate(
 
 
 def _ranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks 1..n with ties receiving the average of their positions."""
+    """Ranks 1..n with ties receiving the average of their positions.
+
+    A tie group runs on while each sorted value exceeds the one before it
+    by at most TIE_RTOL of its magnitude, so values equal up to rounding
+    share one rank.
+    """
     a = np.asarray(values, dtype=float)
     order = np.argsort(a, kind="stable")
     s = a[order]
-    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    steps = s[1:] - s[:-1] > TIE_RTOL * np.abs(s[1:])
+    starts = np.flatnonzero(np.concatenate([[True], steps]))
     ends = np.append(starts[1:], len(s))  # 1-based position of each tie group's last value
     sizes = ends - starts
     ranks = np.empty(len(a))

@@ -216,6 +216,24 @@ def test_spearman_errors():
         spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
 
+def test_spearman_treats_rounding_noise_as_a_tie():
+    # mean_ang_vel_per_frame of three sequences made with one turn_mean:
+    # 0.02 rad per frame by construction, spread only by rounding
+    angular = [1.145915590261647, 1.1459155902616467, 1.1459155902616465]
+    with pytest.raises(UndefinedCorrelationError):
+        spearman(angular, [0.3, 0.1, 0.2])
+    results = [
+        SequenceResult.from_runs(
+            f"s{i}", [_record(ate=a)], SequenceStats(0.001 * i, w, 100 + i, 3.0, 5.0)
+        )
+        for i, (a, w) in enumerate(zip((0.3, 0.1, 0.2), angular))
+    ]
+    attributes = {a for a, _, _ in summarize(results).correlations}
+    assert attributes == {"mean_vel_per_frame", "frame_count"}
+    # a real difference of 1e-8 relative still orders the values
+    assert spearman([1.0, 1.0 + 1e-8, 1.0 + 2e-8], [0.1, 0.2, 0.3]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # summarize
 # ---------------------------------------------------------------------------
