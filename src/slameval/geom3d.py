@@ -61,6 +61,11 @@ _QUAT_NORM_MAX = 1.1
 # Array-level quaternion helpers (w, x, y, z), broadcasting over (..., 4)
 # ---------------------------------------------------------------------------
 
+def _norm_error(q: np.ndarray) -> str:
+    """The message for one quaternion whose norm is out of range; hypot cannot overflow."""
+    return f"quaternion norm {math.hypot(*q):.6g} outside [{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
+
+
 def quat_normalize(q: np.ndarray, check: bool = False) -> np.ndarray:
     """Return unit quaternions with the canonical sign w >= 0.
 
@@ -68,15 +73,14 @@ def quat_normalize(q: np.ndarray, check: bool = False) -> np.ndarray:
     [0.9, 1.1] instead of silently rescaling wild inputs.
     """
     q = np.asarray(q, dtype=float)
-    # the reduction np.linalg.norm makes along an axis, without its dispatch
-    norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    # the reduction np.linalg.norm makes along an axis, without its dispatch; with
+    # check, a norm that overflows is rejected with its true value, not warned about
+    with np.errstate(over="ignore" if check else None):
+        norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
     if check:
         bad = (norm < _QUAT_NORM_MIN) | (norm > _QUAT_NORM_MAX)
         if np.any(bad):
-            raise ValidationError(
-                f"quaternion norm {float(norm.ravel()[np.argmax(bad)]):.6g} outside "
-                f"[{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
-            )
+            raise ValidationError(_norm_error(q.reshape(-1, 4)[np.argmax(bad)]))
     if np.any(norm == 0.0):
         raise ValidationError("zero-norm quaternion")
     out = q / norm

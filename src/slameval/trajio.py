@@ -25,7 +25,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, _view, quat_normalize
+from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, _norm_error, _view, quat_normalize
 
 __all__ = [
     "Association",
@@ -149,7 +149,8 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
         data = np.array(values, dtype=float).reshape(-1, 8)
 
     ts, q = data[:, 0], data[:, [7, 4, 5, 6]]
-    norm = np.linalg.norm(q, axis=-1)
+    with np.errstate(over="ignore"):  # an overflowing norm is out of range all the same
+        norm = np.linalg.norm(q, axis=-1)
     non_finite = ~np.isfinite(data).all(axis=1)
     not_increasing = np.concatenate([[False], ts[1:] <= ts[:-1]])
     wild_norm = (norm < _QUAT_NORM_MIN) | (norm > _QUAT_NORM_MAX)
@@ -162,7 +163,7 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
             previous, current = ts[i - 1 : i + 1].tolist()
             message = f"timestamp {current!r} does not increase over previous {previous!r}"
         else:
-            message = f"quaternion norm {norm[i]:.6g} outside [{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
+            message = _norm_error(q[i])
         defect = (message, _line_numbers(lines)[i])
     if defect is not None:
         raise ParseError(*defect)

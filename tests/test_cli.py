@@ -86,6 +86,19 @@ def test_non_utf8_input_exit_code(traj_files, tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_huge_quaternion_reports_its_norm_without_warning(tmp_path):
+    ok, big = tmp_path / "ok.txt", tmp_path / "big.txt"
+    ok.write_text("0 0 0 0 0 0 0 1\n")
+    big.write_text("0 0 0 0 1e200 0 0 1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slameval", "ate", str(ok), str(big)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr == "error: line 1: quaternion norm 1e+200 outside [0.9, 1.1]\n"
+
+
 @pytest.mark.parametrize("jobs", ["x", "0", "-2", ""])
 def test_bad_jobs_variable_exit_code(traj_files, tmp_path, monkeypatch, capsys, jobs):
     gt_path, drift_path = traj_files

@@ -37,6 +37,14 @@ def test_rotation_rejects_wild_norms():
         Rotation(np.array([0.5, 0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("w, shown", [(1e200, "1e+200"), (1e-200, "1e-200"), (1e308, "1e+308")])
+def test_wild_norm_error_shows_the_true_norm(w, shown):
+    # squaring overflows or underflows here; the message must not say inf or 0
+    with pytest.raises(ValidationError) as err:
+        Rotation(np.array([w, 0.0, 0.0, 0.0]))
+    assert str(err.value) == f"quaternion norm {shown} outside [0.9, 1.1]"
+
+
 def test_rotation_matrix_is_orthonormal():
     rng = np.random.default_rng(1)
     for _ in range(100):
