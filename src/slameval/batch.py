@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -85,10 +86,11 @@ class BatchOptions:
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
         for name in ("max_time_diff", "min_tracked", "gap_ratio_min"):
             value = getattr(self, name)
+            # exact comparison also rejects a JSON integer beyond the float range
             if (
                 not isinstance(value, (int, float))
                 or isinstance(value, bool)
-                or not math.isfinite(value)
+                or not abs(value) <= sys.float_info.max
             ):
                 raise ValidationError(f"{name} must be a finite number, got {value!r}")
         if not isinstance(self.index_identity_association, bool):
@@ -139,13 +141,15 @@ def load_manifest(path: str | Path) -> RunManifest:
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+        # literals too long to convert; RecursionError, nesting too deep to parse
         raise ValidationError(f"manifest {path}: invalid JSON ({exc})") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"manifest {path}: top level must be an object")
 
     version = raw.get("schema_version", MANIFEST_SCHEMA_VERSION)
-    if version != MANIFEST_SCHEMA_VERSION:
+    if type(version) is not int or version != MANIFEST_SCHEMA_VERSION:
         raise ValidationError(f"unsupported manifest schema_version {version!r}")
 
     opt_raw = raw.get("options", {})

@@ -89,6 +89,7 @@ _ENTRY = {"sequence_id": "a", "gt_path": "g.txt", "estimate_paths": ["e.txt"]}
     ([_ENTRY], {"min_tracked": None}),
     ([_ENTRY], {"gap_ratio_min": -math.inf}),
     ([_ENTRY], {"gap_ratio_min": False}),
+    ([_ENTRY], {"gap_ratio_min": 10**400}),
     ([_ENTRY], {"index_identity_association": "yes"}),
     ([_ENTRY], [["stride", 2]]),
     (5, {}),
@@ -108,6 +109,28 @@ def test_manifest_rejects_bad_json(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_manifest(bad)
+
+
+_SEQUENCES = json.dumps([_ENTRY])
+
+
+@pytest.mark.parametrize("text", [
+    b"\xff" + json.dumps({"sequences": [_ENTRY]}).encode(),
+    f'{{"sequences": {_SEQUENCES}, "x": "\xe9"}}'.encode("latin-1"),
+    b"[" * 100000,
+    b'{"sequences": ' + b"[" * 5000 + b"]" * 5000 + b"}",
+    b'{"options": {"stride": ' + b"1" * 5000 + b"}}",
+    f'{{"schema_version": true, "sequences": {_SEQUENCES}}}'.encode(),
+    f'{{"schema_version": 1.0, "sequences": {_SEQUENCES}}}'.encode(),
+], ids=["non-utf8-lead", "latin-1", "deep-top", "deep-sequences", "long-int", "version-true",
+        "version-float"])
+def test_manifest_rejects_unreadable_documents(tmp_path, capsys, text):
+    path = tmp_path / "m.json"
+    path.write_bytes(text)
+    with pytest.raises(ValidationError):
+        load_manifest(path)
+    assert main(["batch", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # ---------------------------------------------------------------------------
