@@ -283,9 +283,8 @@ def summarize(
         vals = np.sort(medians[finite[:, j], j], kind="stable")
         sorted_bars[metric] = tuple(vals.tolist())
         cdf_tables[metric] = cdf(vals, default_thresholds(vals)) if vals.size else ()
-        gaps[metric] = None
-        if vals.size >= 4 and vals[0] > 0.0:
-            gaps[metric] = detect_gap(vals, gap_ratio_min)
+        positive = vals.size >= 4 and vals[0] > 0.0
+        gaps[metric] = detect_gap(vals, gap_ratio_min) if positive else None
 
     correlations: list[tuple[str, str, float]] = []
     for i, attribute in enumerate(ATTRIBUTE_FIELDS):

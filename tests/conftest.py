@@ -1,10 +1,11 @@
 """Shared helpers for the test suite.
 
-Rotation-angle measurements in tests use an atan2-based formula rather
-than the library's trace-based operator: near 0 and pi the arccos of a
-trace quantizes at ~1.5e-8 rad, and several tolerances here sit below
-that. Keeping the measurement independent of the code under test also
-means a broken angle operator cannot hide its own errors.
+Rotation-angle measurements in tests use their own atan2 formula on the
+relative quaternion, 2 atan2(||(x, y, z)||, |w|), which is accurate at
+every magnitude (several tolerances here sit below the ~1.5e-8 rad at
+which an arccos of the trace quantizes). It is computed here rather
+than with the library's quat_angle, so a broken angle operator cannot
+hide its own errors.
 """
 
 from __future__ import annotations
