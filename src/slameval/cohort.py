@@ -172,7 +172,7 @@ def default_thresholds(values: Sequence[float], points: int = CDF_GRID_POINTS) -
 def detect_gap(
     values: Sequence[float], gap_ratio_min: float = DEFAULT_GAP_RATIO_MIN
 ) -> Gap | None:
-    """Find the failure gap in a set of positive metric values.
+    """Find the failure gap in a set of finite, positive metric values.
 
     Sorts ascending and takes the largest ratio between consecutive
     values. A ratio of at least gap_ratio_min marks a gap; the reported
@@ -181,8 +181,8 @@ def detect_gap(
     fewer than 4 values are given.
     """
     vals = np.sort(np.asarray(values, dtype=float))
-    if np.any(vals <= 0.0):
-        raise ValidationError("gap detection needs strictly positive values (log scale)")
+    if not np.all((vals > 0.0) & (vals < math.inf)):  # NaN fails both
+        raise ValidationError("gap detection needs finite, strictly positive values (log scale)")
     if vals.size < 4:
         return None
     ratios = vals[1:] / vals[:-1]

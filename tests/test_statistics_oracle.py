@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from slameval.cohort import _ranks, cdf, detect_gap, spearman
+from slameval.errors import ValidationError
 from slameval.metrics import RPE_MODE_ALL_PAIRS, rpe
 from slameval.trajio import associate_by_index
 
@@ -65,6 +66,12 @@ def test_detect_gap_matches_max_over_sorted_ratios(seed):
         gap = detect_gap(values, ratio_min)
         expected = _gap_oracle(values, ratio_min)
         assert (gap if gap is None else tuple(gap)) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_detect_gap_rejects_values_without_a_ratio(bad):
+    with pytest.raises(ValidationError):
+        detect_gap([1.0, 2.0, bad, 40.0, 80.0])
 
 
 def test_spearman_matches_rank_difference_formula_without_ties():
