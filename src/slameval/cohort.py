@@ -21,7 +21,6 @@ metric distributions but still count as failures in the success rate.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -108,8 +107,11 @@ class CohortSummary:
 
 def _median(values: Sequence[float]) -> float:
     """Median over the finite values; even counts average the central two."""
-    finite = [v for v in values if not math.isnan(v)]
-    return statistics.median(finite) if finite else math.nan
+    finite = sorted(v for v in values if not math.isnan(v))
+    k = len(finite)
+    if not k:
+        return math.nan
+    return finite[k // 2] if k % 2 else 0.5 * (finite[k // 2 - 1] + finite[k // 2])
 
 
 def aggregate_runs(runs: Sequence[MetricRecord]) -> MetricRecord:
