@@ -89,10 +89,10 @@ _ENTRY = {"sequence_id": "a", "gt_path": "g.txt", "estimate_paths": ["e.txt"]}
     ([_ENTRY], {"min_tracked": None}),
     ([_ENTRY], {"gap_ratio_min": -math.inf}),
     ([_ENTRY], {"gap_ratio_min": False}),
-    ([_ENTRY], {"gap_ratio_min": 10**400}),
     ([_ENTRY], {"index_identity_association": "yes"}),
     ([_ENTRY], [["stride", 2]]),
     (5, {}),
+    ([_ENTRY], {"gap_ratio_min": 10**400}),
 ])
 def test_manifest_rejects_bad_values(tmp_path, capsys, sequences, options):
     path = tmp_path / "m.json"
