@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,13 +28,21 @@ from .geom3d import Pose, Rotation
 __all__ = ["AlignmentResult", "horn_align"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlignmentResult:
-    """The aligning rigid transform, residual RMSE, and point count."""
+    """The aligning rigid transform x -> R x + t, the residual norm
+    ||R p_i + t - q_i|| of each point pair, their RMSE, and the point count.
+    ``transform`` is (R, t) as a Pose, its quaternion derived on first use."""
 
-    transform: Pose
+    rotation_matrix: np.ndarray
+    translation: np.ndarray
+    residuals: np.ndarray
     rmse_after: float
     point_count: int
+
+    @cached_property
+    def transform(self) -> Pose:
+        return Pose(Rotation.from_matrix(self.rotation_matrix), self.translation)
 
 
 def _as_points(a, name: str) -> np.ndarray:
@@ -93,17 +102,12 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     elif n == 2:
         rot_m = _minimal_rotation_between(p[1] - p[0], q[1] - q[0])
     else:
-        h = (p - p_mean).T @ (q - q_mean)
-        u, _, vt = np.linalg.svd(h)
-        v = vt.T
-        d = np.sign(np.linalg.det(v @ u.T))
-        rot_m = v @ np.diag([1.0, 1.0, d]) @ u.T
+        u, _, vt = np.linalg.svd((p - p_mean).T @ (q - q_mean))
+        d = np.sign(np.linalg.det(u @ vt))  # det(V U^T)
+        rot_m = (vt.T * [1.0, 1.0, d]) @ u.T
 
-    rotation = Rotation.from_matrix(rot_m)
-    r = rotation.matrix
-    t = q_mean - r @ p_mean
-
-    residuals = p @ r.T + t - q
+    t = q_mean - rot_m @ p_mean
+    residuals = p @ rot_m.T + t - q
     sq = np.einsum("ij,ij->i", residuals, residuals)
     rmse = math.sqrt(math.fsum(sq.tolist()) / n)
-    return AlignmentResult(Pose(rotation, t), rmse, n)
+    return AlignmentResult(rot_m, t, np.sqrt(sq), rmse, n)

@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,19 +214,13 @@ def evaluate_run(
         if not len(assoc):
             return _failed_record()
 
-    tracked = len(assoc) / len(gt_strided)
-    ate_report = ate(gt_strided, est, assoc)
-
-    rpe_trans = math.nan
-    rpe_rot = math.nan
     n = len(assoc)
-    delta_ok = options.rpe_mode == RPE_MODE_ALL_PAIRS or options.rpe_delta < n
-    if n >= 2 and delta_ok:
-        rpe_report = rpe(gt_strided, est, assoc, options.rpe_delta, options.rpe_mode)
-        rpe_trans = rpe_report.trans_rmse
-        rpe_rot = rpe_report.rot_mean
-
-    return MetricRecord(ate_report.rmse, rpe_trans, rpe_rot, tracked)
+    ate_rmse = ate(gt_strided, est, assoc).rmse
+    rpe_trans = rpe_rot = math.nan
+    if n >= 2 and (options.rpe_mode == RPE_MODE_ALL_PAIRS or options.rpe_delta < n):
+        report = rpe(gt_strided, est, assoc, options.rpe_delta, options.rpe_mode)
+        rpe_trans, rpe_rot = report.trans_rmse, report.rot_mean
+    return MetricRecord(ate_rmse, rpe_trans, rpe_rot, n / len(gt_strided))
 
 
 def evaluate_sequence(
@@ -257,21 +250,26 @@ def evaluate_sequence(
 def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     """Evaluate every manifest entry and summarize the cohort.
 
-    jobs > 1 distributes sequences over worker processes. Results are
-    always reduced in manifest order, so the numbers cannot depend on
-    scheduling; jobs = 1 additionally guarantees a bit-identical pass
-    through a single interpreter.
+    jobs > 1 distributes sequences over min(jobs, sequences) worker
+    processes. Results are always reduced in manifest order, so the
+    numbers cannot depend on scheduling; jobs = 1 additionally
+    guarantees a bit-identical pass through a single interpreter.
     """
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
     options = manifest.options
+    entries = manifest.entries
 
-    if jobs == 1 or len(manifest.entries) <= 1:
-        evaluated = [evaluate_sequence(e, options) for e in manifest.entries]
+    workers = min(jobs, len(entries))
+    if workers <= 1:
+        evaluated = [evaluate_sequence(e, options) for e in entries]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            evaluated = list(pool.map(evaluate_sequence, manifest.entries,
-                                      [options] * len(manifest.entries)))
+        from concurrent.futures import ProcessPoolExecutor
+
+        # four chunks per worker: few round trips, still balanced
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            evaluated = list(pool.map(evaluate_sequence, entries, [options] * len(entries),
+                                      chunksize=math.ceil(len(entries) / (4 * workers))))
 
     results: list[SequenceResult] = []
     failures: list[Failure] = []

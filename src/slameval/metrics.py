@@ -7,14 +7,19 @@ ATE measures global consistency: after rigidly aligning the estimate
 onto ground truth with transform S, the per-frame error matrix is
 E_i = Q_i^-1 S P_i and the score is the RMSE of ||trans(E_i)||.
 Because rigid transforms are isometries, ||trans(E_i)|| equals
-||S p_i - q_i|| over the translation parts, which is how the values
-are computed here.
+||S p_i - q_i|| over the translation parts: the per-frame errors are
+the residual norms of the alignment itself, and the score is its
+``rmse_after``.
 
 RPE measures local drift over a fixed frame interval delta:
 F_i = (Q_i^-1 Q_{i+delta})^-1 (P_i^-1 P_{i+delta}), with a sequence of
 n associated poses yielding m = n - delta error matrices. The
 translation part is reduced as an RMSE and the rotation part as the
 mean angle. An all-pairs mode averages over every (i, delta) instead.
+With the per-frame offsets c_i = q_i conj(p_i) of the gt and est
+rotations, a pair (i, j) has angle(F) = angle(c_i conj(c_j)) (conjugate
+by q_j) and ||trans(F)|| = ||R(c_i) (tp_j - tp_i) - (tq_j - tq_i)|| (rotate
+by q_i, an isometry): one product and one rotation per pair.
 
 All RMSE/mean reductions use exact compensated summation (math.fsum)
 so the definitional identities hold to 1e-12 regardless of order.
@@ -34,7 +39,6 @@ from .geom3d import (
     quat_angle,
     quat_conj,
     quat_mul,
-    quat_normalize,
     quat_rotate,
 )
 from .trajio import Association
@@ -60,9 +64,9 @@ ALL_PAIRS_DEFAULT_CAP = 2000
 class AteReport:
     """Absolute trajectory error over the associated frames.
 
-    per_frame holds ||trans(E_i)|| in meters, one entry per associated
-    pair; rmse, mean, median summarize it. alignment carries the rigid
-    transform S that was factored out.
+    per_frame holds ||trans(E_i)|| in meters, the alignment's residual
+    for each associated pair; rmse, mean, median summarize it. alignment
+    carries the rigid transform S that was factored out.
     """
 
     rmse: float
@@ -88,17 +92,8 @@ class RpeReport:
     per_pair_rot: np.ndarray
 
 
-def _rmse(values: np.ndarray) -> float:
-    return math.sqrt(math.fsum((values * values).tolist()) / len(values))
-
-
 def _mean(values: np.ndarray) -> float:
     return math.fsum(values.tolist()) / len(values)
-
-
-def _associated_arrays(gt: Trajectory, est: Trajectory, assoc: Association):
-    gi, ei = assoc.gt_indices, assoc.est_indices
-    return gt.q[gi], gt.xyz[gi], est.q[ei], est.xyz[ei]
 
 
 def ate(gt: Trajectory, est: Trajectory, assoc: Association) -> AteReport:
@@ -107,40 +102,29 @@ def ate(gt: Trajectory, est: Trajectory, assoc: Association) -> AteReport:
     Alignment uses all associated frames. Raises EmptyAssociationError
     when the association holds no pairs.
     """
-    if len(assoc) < 1:
+    n = len(assoc)
+    if n < 1:
         raise EmptyAssociationError("cannot evaluate ATE on an empty association")
-    _, q_trans, _, p_trans = _associated_arrays(gt, est, assoc)
-
-    alignment = horn_align(q_trans, p_trans)
-    s = alignment.transform
-    aligned = p_trans @ s.rotation.matrix.T + s.translation
-    per_frame = np.linalg.norm(aligned - q_trans, axis=1)
-
+    alignment = horn_align(gt.xyz[assoc.gt_indices], est.xyz[assoc.est_indices])
+    per_frame = alignment.residuals
+    # the median by sort: np.median imports numpy.ma on first use
+    median = float(np.sort(per_frame)[(n - 1) // 2 : n // 2 + 1].mean())
     return AteReport(
-        rmse=_rmse(per_frame),
+        rmse=alignment.rmse_after,
         mean=_mean(per_frame),
-        median=float(np.median(per_frame)),
+        median=median,
         per_frame=per_frame,
         alignment=alignment,
     )
 
 
-def _relative_arrays(quat: np.ndarray, trans: np.ndarray, delta: int):
-    """Per-index relative motions over interval delta, in the frame of pose i."""
-    conj = quat_conj(quat[:-delta])
-    rel_q = quat_mul(conj, quat[delta:])
-    rel_t = quat_rotate(conj, trans[delta:] - trans[:-delta])
-    return rel_q, rel_t
-
-
-def _pair_errors(q_quat, q_trans, p_quat, p_trans, delta: int):
-    gt_q, gt_t = _relative_arrays(q_quat, q_trans, delta)
-    es_q, es_t = _relative_arrays(p_quat, p_trans, delta)
-    # F = A^-1 B for relative motions A (gt) and B (est); the rotation
-    # part is conj(qA) qB and ||trans(F)|| = ||tB - tA|| by isometry.
-    err_t = np.linalg.norm(es_t - gt_t, axis=1)
-    rel = quat_normalize(quat_mul(quat_conj(gt_q), es_q))
-    err_r = np.atleast_1d(quat_angle(rel))
+def _pair_errors(c, gt_xyz, est_xyz, i, j):
+    """Translation and rotation error of the pose pairs (i, j), for the
+    offsets c = q conj(p): ||R(c_i) dp - dq|| and angle(c_i conj(c_j))."""
+    err_t = np.linalg.norm(
+        quat_rotate(c[i], est_xyz[j] - est_xyz[i]) - (gt_xyz[j] - gt_xyz[i]), axis=1
+    )
+    err_r = quat_angle(quat_mul(c[i], quat_conj(c[j])))
     return err_t, err_r
 
 
@@ -166,8 +150,6 @@ def rpe(
     if mode not in (RPE_MODE_FIXED, RPE_MODE_ALL_PAIRS):
         raise ValidationError(f"unknown RPE mode {mode!r}")
 
-    q_quat, q_trans, p_quat, p_trans = _associated_arrays(gt, est, assoc)
-
     if mode == RPE_MODE_FIXED:
         delta = int(delta)
         if delta < 1 or delta >= n:
@@ -182,13 +164,16 @@ def rpe(
                 f"{ALL_PAIRS_DEFAULT_CAP}; pass allow_large=True to override"
             )
         delta, deltas = 0, range(1, n)
-    parts = [_pair_errors(q_quat, q_trans, p_quat, p_trans, d) for d in deltas]
+    gi, ei = assoc.gt_indices, assoc.est_indices
+    c = quat_mul(gt.q[gi], quat_conj(est.q[ei]))
+    gt_xyz, est_xyz = gt.xyz[gi], est.xyz[ei]
+    parts = [_pair_errors(c, gt_xyz, est_xyz, slice(None, -d), slice(d, None)) for d in deltas]
     err_t, err_r = (np.concatenate(errors) for errors in zip(*parts))
 
     return RpeReport(
         delta=delta,
         mode=mode,
-        trans_rmse=_rmse(err_t),
+        trans_rmse=math.sqrt(_mean(err_t * err_t)),
         rot_mean=_mean(err_r),
         per_pair_trans=err_t,
         per_pair_rot=err_r,

@@ -16,7 +16,6 @@ first matches poses by nearest timestamp within a tolerance.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, _norm_error, _view, quat_normalize
+from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, _locked, _norm_error, _view
 
 __all__ = [
     "Association",
@@ -149,17 +148,17 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
         data = np.array(values, dtype=float).reshape(-1, 8)
 
     ts, q = data[:, 0], data[:, [7, 4, 5, 6]]
-    with np.errstate(over="ignore"):  # an overflowing norm is out of range all the same
-        norm = np.linalg.norm(q, axis=-1)
-    non_finite = ~np.isfinite(data).all(axis=1)
-    not_increasing = np.concatenate([[False], ts[1:] <= ts[:-1]])
-    wild_norm = (norm < _QUAT_NORM_MIN) | (norm > _QUAT_NORM_MAX)
-    bad = np.flatnonzero(non_finite | not_increasing | wild_norm)
+    # the norm quat_normalize takes; overflowing or non-finite, it is out of range all the same
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.add.reduce(q * q, axis=1))
+    ok = np.isfinite(data[:, :4]).all(axis=1) & (norm >= _QUAT_NORM_MIN) & (norm <= _QUAT_NORM_MAX)
+    ok[1:] &= ts[1:] > ts[:-1]
+    bad = np.flatnonzero(~ok)
     if bad.size:
         i = int(bad[0])
-        if non_finite[i]:
+        if not np.isfinite(data[i]).all():
             message = "non-finite value"
-        elif not_increasing[i]:
+        elif i and ts[i] <= ts[i - 1]:
             previous, current = ts[i - 1 : i + 1].tolist()
             message = f"timestamp {current!r} does not increase over previous {previous!r}"
         else:
@@ -169,7 +168,11 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
         raise ParseError(*defect)
     if not pose_lines:
         raise ValidationError("no pose lines found; a trajectory needs at least one pose")
-    return Trajectory.from_arrays(ts, data[:, 1:4], quat_normalize(q), traj_id)
+    # unit quaternions with w >= 0, bit for bit as quat_normalize makes them
+    q /= norm[:, None]
+    np.negative(q, out=q, where=q[:, :1] < 0.0)
+    t, xyz, q = _locked(ts), _locked(data[:, 1:4]), _locked(q)
+    return _view(Trajectory, t=t, xyz=xyz, q=q, traj_id=traj_id)
 
 
 def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
@@ -185,7 +188,7 @@ def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start] + b"x").splitlines())
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line_no) from None
-    lines = io.StringIO(text, newline=None)
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return parse_tum(lines, traj_id if traj_id is not None else path.stem)
 
 

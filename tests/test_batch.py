@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -176,6 +177,38 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert summary_to_dict(serial, manifest.options) == summary_to_dict(
         parallel, manifest.options
     )
+
+
+@pytest.mark.parametrize("n_seq, jobs, pool", [
+    (1, 2, None),
+    (3, 1, None),
+    (2, 3, (2, 1)),
+    (5, 2, (2, 1)),
+    (9, 2, (2, 2)),
+])
+def test_batch_pool_is_bounded_by_the_sequence_count(tmp_path, monkeypatch, n_seq, jobs, pool):
+    # a stand-in executor: records (max_workers, chunksize) and maps in this process
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            seen.append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    manifest = load_manifest(_small_cohort(tmp_path, n_seq=n_seq, runs=1, frames=30))
+    outcome = run_batch(manifest, jobs=jobs)
+    assert seen == ([] if pool is None else list(pool))
+    assert outcome.evaluated_count == n_seq
 
 
 def test_batch_stride_option(tmp_path):
