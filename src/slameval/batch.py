@@ -30,8 +30,9 @@ Manifest JSON schema (schema_version 1)::
     }
 
 All options are optional and default as above; ``rpe_delta`` and
-``stride`` must be integers, the other numbers finite. Relative paths
-resolve against the manifest's directory.
+``stride`` must be integers, the other numbers finite. ``sequence_id``
+and ``gt_path`` are non-empty strings. Relative paths resolve against
+the manifest's directory.
 
 Evaluation of different sequences is independent, so the runner can
 fan out over worker processes; results are reduced in manifest order
@@ -168,11 +169,13 @@ def load_manifest(path: str | Path) -> RunManifest:
         raise ValidationError(f"manifest {path}: sequences must be a list")
     for item in sequences:
         try:
-            seq_id = str(item["sequence_id"])
-            gt_path = base / item["gt_path"]
-            est_raw = item["estimate_paths"]
+            seq_id, gt_raw, est_raw = item["sequence_id"], item["gt_path"], item["estimate_paths"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"manifest sequence entry malformed: {item!r} ({exc})") from None
+        if not (isinstance(seq_id, str) and isinstance(gt_raw, str) and seq_id and gt_raw):
+            raise ValidationError(
+                f"sequence entry {item!r}: sequence_id and gt_path must be non-empty strings"
+            )
         if seq_id in seen:
             raise ValidationError(f"duplicate sequence_id {seq_id!r}")
         if not isinstance(est_raw, list) or not all(isinstance(p, str) for p in est_raw):
@@ -181,7 +184,7 @@ def load_manifest(path: str | Path) -> RunManifest:
             raise ValidationError(f"sequence {seq_id!r} lists no estimate paths")
         est_paths = tuple(base / p for p in est_raw)
         seen.add(seq_id)
-        entries.append(SequenceEntry(seq_id, gt_path, est_paths))
+        entries.append(SequenceEntry(seq_id, base / gt_raw, est_paths))
     if not entries:
         raise ValidationError("manifest lists no sequences")
     return RunManifest(tuple(entries), options, version)

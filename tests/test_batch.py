@@ -105,6 +105,16 @@ def test_manifest_rejects_bad_values(tmp_path, capsys, sequences, options):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["sequence_id", "gt_path"])
+@pytest.mark.parametrize("value", [None, [1, 2], 3.5, ""])
+def test_manifest_requires_non_empty_string_id_and_gt_path(tmp_path, capsys, field, value):
+    path = write_manifest(tmp_path / "m.json", [dict(_ENTRY, **{field: value})])
+    with pytest.raises(ValidationError, match=field):
+        load_manifest(path)
+    assert main(["batch", str(path), "--out", str(tmp_path / "r")]) == EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
 def test_manifest_rejects_bad_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
