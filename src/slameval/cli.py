@@ -110,16 +110,11 @@ def _cmd_rpe(args) -> int:
 
 def _cmd_stats(args) -> int:
     rows = []
-    all_stats = []
     for path in args.files:
-        traj = load_tum(path)
-        if args.stride > 1:
-            traj = resample_stride(traj, args.stride)
-        stats = sequence_stats(traj)
-        all_stats.append(stats)
-        rows.append((traj.traj_id or path, stats))
-    if len(all_stats) > 1:
-        rows.append(("(cohort mean)", cohort_stats(all_stats)))
+        traj = resample_stride(load_tum(path), args.stride)
+        rows.append((traj.traj_id or path, sequence_stats(traj)))
+    if len(rows) > 1:
+        rows.append(("(cohort mean)", cohort_stats([stats for _, stats in rows])))
 
     header = f"{'dataset':<28} {'m.vel.p.f':>12} {'m.ang.v.p.f':>12} {'m.frames':>10}"
     print(header)
@@ -163,10 +158,13 @@ def _cmd_batch(args) -> int:
 
 
 def _parse_vec3(text: str, name: str) -> tuple[float, float, float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != 3:
-        raise SlamEvalError(f"{name} expects 3 comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    try:
+        values = tuple(map(float, text.replace(",", " ").split()))
+    except ValueError:
+        values = ()
+    if len(values) != 3 or not all(map(math.isfinite, values)):
+        raise ValidationError(f"{name} expects 3 comma-separated finite numbers, got {text!r}")
+    return values  # type: ignore[return-value]
 
 
 def _cmd_synth(args) -> int:

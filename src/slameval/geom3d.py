@@ -78,7 +78,7 @@ def quat_normalize(q: np.ndarray, check: bool = False) -> np.ndarray:
     with np.errstate(over="ignore" if check else None):
         norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
     if check:
-        bad = (norm < _QUAT_NORM_MIN) | (norm > _QUAT_NORM_MAX)
+        bad = ~((norm >= _QUAT_NORM_MIN) & (norm <= _QUAT_NORM_MAX))  # NaN too
         if np.any(bad):
             raise ValidationError(_norm_error(q.reshape(-1, 4)[np.argmax(bad)]))
     if np.any(norm == 0.0):

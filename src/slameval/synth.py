@@ -17,6 +17,7 @@ split generators, so identical inputs always give identical output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,11 @@ class PerturbationSpec:
         object.__setattr__(self, "drift_rot_axis", tuple(float(v) for v in self.drift_rot_axis))
         if len(self.drift_per_frame) != 3 or len(self.drift_rot_axis) != 3:
             raise ValidationError("drift vectors must have 3 components")
-        if self.noise_sigma_trans < 0 or self.noise_sigma_rot < 0:
-            raise ValidationError("noise sigmas must be >= 0")
+        drift = (*self.drift_per_frame, *self.drift_rot_axis, self.drift_rot_per_frame)
+        if not all(map(math.isfinite, drift)):
+            raise ValidationError(f"drift values must be finite, got {drift}")
+        if not (0 <= self.noise_sigma_trans < math.inf and 0 <= self.noise_sigma_rot < math.inf):
+            raise ValidationError("noise sigmas must be finite and >= 0")
         if not 0.0 <= self.dropout_fraction < 1.0:
             raise ValidationError("dropout_fraction must lie in [0, 1)")
 
@@ -87,6 +91,8 @@ def random_trajectory(
     """
     if n < 2:
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
+    if not all(map(math.isfinite, (step_mean, turn_mean, height, rate_hz))):
+        raise ValidationError("random_trajectory needs finite step_mean, turn_mean, height, rate_hz")
     rng = np.random.default_rng(seed)
 
     heading0 = rng.uniform(0.0, 2.0 * np.pi)

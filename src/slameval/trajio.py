@@ -248,8 +248,8 @@ def associate(
     ts_est = est.timestamps()
     if ts_gt is None or ts_est is None:
         raise ValidationError("association requires timestamps on every pose of both trajectories")
-    if max_time_diff < 0:
-        raise ValidationError("max_time_diff must be non-negative")
+    if not max_time_diff >= 0:  # NaN too
+        raise ValidationError(f"max_time_diff must be non-negative, got {max_time_diff!r}")
 
     # Candidates: for each gt stamp, the est window within the tolerance, flattened.
     lo = np.searchsorted(ts_est, ts_gt - max_time_diff, side="left")

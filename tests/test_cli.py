@@ -112,6 +112,40 @@ def test_bad_jobs_variable_exit_code(traj_files, tmp_path, monkeypatch, capsys, 
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_stats_rejects_a_stride_below_one(traj_files, capsys, stride):
+    gt_path, _ = traj_files
+    assert main(["stats", str(gt_path), "--stride", stride]) == EXIT_BAD_INPUT
+    assert "stride" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ate", "rpe"])
+def test_nan_max_diff_is_bad_input(traj_files, capsys, command):
+    gt_path, drift_path = traj_files
+    assert main([command, str(gt_path), str(drift_path), "--max-diff", "nan"]) == EXIT_BAD_INPUT
+    assert "max_time_diff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--drift", "nan,0,0"],
+    ["--drift", "0,inf,0"],
+    ["--drift", "0,x,0"],
+    ["--offset", "0,0,nan"],
+    ["--step-mean", "nan"],
+    ["--turn-mean", "inf"],
+    ["--drift-rot", "nan"],
+    ["--noise-trans", "nan"],
+    ["--noise-rot", "inf"],
+    ["--offset", "0,0,0", "--offset-yaw", "nan"],
+])
+def test_synth_rejects_non_finite_numbers(tmp_path, capsys, flags):
+    gt_out, est_out = tmp_path / "gt.txt", tmp_path / "est.txt"
+    argv = ["synth", "--gt-out", str(gt_out), "--est-out", str(est_out), "--frames", "20"]
+    assert main(argv + flags) == EXIT_BAD_INPUT
+    assert "error:" in capsys.readouterr().err
+    assert not gt_out.exists() and not est_out.exists()
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["ate", str(tmp_path / "none.txt"), str(tmp_path / "none.txt")])
     capsys.readouterr()
