@@ -4,102 +4,52 @@ Pose-level geometry, TUM-format trajectory I/O with timestamp
 association, closed-form rigid alignment, ATE/RPE accuracy metrics, and
 cohort-level robustness statistics (multi-run medians, cumulative
 distributions, failure-gap detection, attribute correlations).
+
+The namespace is lazy (PEP 562): ``import slameval`` loads no submodule
+and no numpy; each name below is imported from its home module on first
+use. So ``slameval.cli`` can configure the process before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .align import AlignmentResult, horn_align
-from .cohort import (
-    CohortSummary,
-    Gap,
-    MetricRecord,
-    SequenceResult,
-    aggregate_runs,
-    cdf,
-    detect_gap,
-    spearman,
-    success_rate,
-    summarize,
-)
-from .errors import (
-    EmptyAssociationError,
-    ParseError,
-    SlamEvalError,
-    UndefinedCorrelationError,
-    ValidationError,
-)
-from .geom3d import (
-    Pose,
-    Rotation,
-    Trajectory,
-    angle_of,
-    apply,
-    compose,
-    inverse,
-    relative,
-    rot,
-    trans,
-)
-from .metrics import AteReport, RpeReport, ate, rpe
-from .synth import PerturbationSpec, perturb, random_trajectory
-from .trajio import (
-    Association,
-    associate,
-    associate_by_index,
-    dumps_tum,
-    load_tum,
-    parse_tum,
-    save_tum,
-    write_tum,
-)
-from .trajstats import SequenceStats, cohort_stats, resample_stride, sequence_stats
+# home module -> the names re-exported from it
+_EXPORTS = {
+    "align": ["AlignmentResult", "horn_align"],
+    "cohort": [
+        "CohortSummary", "Gap", "MetricRecord", "SequenceResult", "aggregate_runs", "cdf",
+        "detect_gap", "spearman", "success_rate", "summarize",
+    ],
+    "errors": [
+        "SlamEvalError", "ValidationError", "ParseError", "EmptyAssociationError",
+        "UndefinedCorrelationError",
+    ],
+    "geom3d": [
+        "Pose", "Rotation", "Trajectory", "angle_of", "apply", "compose", "inverse", "relative",
+        "rot", "trans",
+    ],
+    "metrics": ["AteReport", "RpeReport", "ate", "rpe"],
+    "synth": ["PerturbationSpec", "perturb", "random_trajectory"],
+    "trajio": [
+        "Association", "associate", "associate_by_index", "dumps_tum", "load_tum", "parse_tum",
+        "save_tum", "write_tum",
+    ],
+    "trajstats": ["SequenceStats", "cohort_stats", "resample_stride", "sequence_stats"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "AlignmentResult",
-    "horn_align",
-    "CohortSummary",
-    "Gap",
-    "MetricRecord",
-    "SequenceResult",
-    "aggregate_runs",
-    "cdf",
-    "detect_gap",
-    "spearman",
-    "success_rate",
-    "summarize",
-    "SlamEvalError",
-    "ValidationError",
-    "ParseError",
-    "EmptyAssociationError",
-    "UndefinedCorrelationError",
-    "Pose",
-    "Rotation",
-    "Trajectory",
-    "angle_of",
-    "apply",
-    "compose",
-    "inverse",
-    "relative",
-    "rot",
-    "trans",
-    "AteReport",
-    "RpeReport",
-    "ate",
-    "rpe",
-    "PerturbationSpec",
-    "perturb",
-    "random_trajectory",
-    "Association",
-    "associate",
-    "associate_by_index",
-    "dumps_tum",
-    "load_tum",
-    "parse_tum",
-    "save_tum",
-    "write_tum",
-    "SequenceStats",
-    "cohort_stats",
-    "resample_stride",
-    "sequence_stats",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

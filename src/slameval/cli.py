@@ -20,17 +20,28 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
+# Before numpy loads, unless the user chose: OpenBLAS would start a thread
+# per extra core that spins after each call, for 3x3 SVDs and (3 x n)(n x 3)
+# products. The command's parallelism is --jobs processes.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
-from .batch import load_manifest, run_batch
-from .errors import EmptyAssociationError, SlamEvalError, ValidationError
-from .geom3d import Pose, Rotation
-from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe
-from .report import dump_json, write_report_bundle
-from .synth import PerturbationSpec, perturb, random_trajectory
-from .trajio import DEFAULT_MAX_TIME_DIFF, associate, associate_by_index, load_tum, save_tum
-from .trajstats import cohort_stats, resample_stride, sequence_stats
+import numpy as np  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .batch import load_manifest, run_batch  # noqa: E402
+from .errors import EmptyAssociationError, SlamEvalError, ValidationError  # noqa: E402
+from .geom3d import Pose, Rotation  # noqa: E402
+from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe  # noqa: E402
+from .report import dump_json, write_report_bundle  # noqa: E402
+from .synth import PerturbationSpec, perturb, random_trajectory  # noqa: E402
+from .trajio import (  # noqa: E402
+    DEFAULT_MAX_TIME_DIFF,
+    associate,
+    associate_by_index,
+    load_tum,
+    save_tum,
+)
+from .trajstats import cohort_stats, resample_stride, sequence_stats  # noqa: E402
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
