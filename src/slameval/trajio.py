@@ -124,9 +124,13 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     lines, non-increasing timestamps, or quaternions whose norm falls
     outside [0.9, 1.1]. The earliest bad line wins; within one line the
     checks run in that order: field count, numeric, finite, increasing,
-    quaternion norm.
+    quaternion norm. A string's lines end at LF, CR or CRLF, as in a
+    text-mode file (str.splitlines would also break at U+2028, U+0085,
+    form feed and other separators).
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
+    if isinstance(source, str):
+        source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = list(source)
     pose_lines = list(filter(_is_pose_line, lines))
     data = _loadtxt(pose_lines)
 
@@ -188,8 +192,7 @@ def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     except UnicodeDecodeError as exc:
         line_no = len((data[: exc.start] + b"x").splitlines())
         raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line_no) from None
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return parse_tum(lines, traj_id if traj_id is not None else path.stem)
+    return parse_tum(text, traj_id if traj_id is not None else path.stem)
 
 
 def dumps_tum(traj: Trajectory) -> str:

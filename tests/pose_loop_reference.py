@@ -11,6 +11,7 @@ quaternion formula that shares no code with the broadcasting one.
 
 from __future__ import annotations
 
+import io
 import math
 from typing import IO, Iterable
 
@@ -31,7 +32,8 @@ def _axis_angle(axis, angle: float) -> Rotation:
 
 def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Trajectory:
     if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
+        # lines end at LF, CR or CRLF, as in a text-mode file
+        lines: Iterable[str] = io.StringIO(source, newline=None)
     else:
         lines = source
 

@@ -219,3 +219,39 @@ def test_load_rejects_non_utf8_with_line_number(tmp_path):
     with pytest.raises(ParseError) as err:
         load_tum(path)
     assert err.value.line_no == 4
+
+
+# str.splitlines breaks at each of these; a text-mode file does not
+_NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
+def _parse_both_ways(tmp_path, text: str):
+    """parse_tum(text) and load_tum of the same text as UTF-8: trajectory or error."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(text.encode("utf-8"))
+    results = []
+    for parse in (lambda: parse_tum(text, "t"), lambda: load_tum(path)):
+        try:
+            traj = parse()
+        except ParseError as exc:
+            results.append((str(exc), exc.line_no))
+        else:
+            results.append(tuple(a.tobytes() for a in (traj.t, traj.xyz, traj.q)))
+    return results
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=lambda s: f"U+{ord(s):04X}")
+def test_separator_between_poses_does_not_end_the_line(tmp_path, sep):
+    via_text, via_file = _parse_both_ways(tmp_path, f"0 0 0 0 0 0 0 1{sep} 1 0 0 0 0 0 0 1\n")
+    assert via_text == via_file == ("line 1: expected 8 fields, got 16", 1)
+
+
+@pytest.mark.parametrize("sep", _NOT_LINE_ENDS, ids=lambda s: f"U+{ord(s):04X}")
+def test_separator_inside_a_pose_line_is_whitespace(tmp_path, sep):
+    text = f"0 0 0{sep}0 0 0 0 1\r\n{sep}1 2 0 0 0 0 0 1\r2 0 0 0 0 0 0 1 9\n"
+    via_text, via_file = _parse_both_ways(tmp_path, text)
+    assert via_text == via_file == ("line 3: expected 8 fields, got 9", 3)
+    good = f"0 0 0{sep}0 0 0 0 1\r\n{sep}1 2 0 0 0 0 0 1\r"
+    via_text, via_file = _parse_both_ways(tmp_path, good)
+    assert via_text == via_file
+    assert np.frombuffer(via_text[1], dtype=float).tolist() == [0, 0, 0, 2, 0, 0]
