@@ -61,6 +61,8 @@ class PerturbationSpec:
             raise ValidationError("noise sigmas must be finite and >= 0")
         if not 0.0 <= self.dropout_fraction < 1.0:
             raise ValidationError("dropout_fraction must lie in [0, 1)")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
 
 def _smooth_profile(rng: np.random.Generator, n: int, knot_spacing: int = 25) -> np.ndarray:
@@ -91,6 +93,8 @@ def random_trajectory(
     """
     if n < 2:
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if not all(map(math.isfinite, (step_mean, turn_mean, height, rate_hz))):
         raise ValidationError("random_trajectory needs finite step_mean, turn_mean, height, rate_hz")
     rng = np.random.default_rng(seed)

@@ -137,6 +137,7 @@ def test_nan_max_diff_is_bad_input(traj_files, capsys, command):
     ["--noise-trans", "nan"],
     ["--noise-rot", "inf"],
     ["--offset", "0,0,0", "--offset-yaw", "nan"],
+    ["--seed", "-1"],
 ])
 def test_synth_rejects_non_finite_numbers(tmp_path, capsys, flags):
     gt_out, est_out = tmp_path / "gt.txt", tmp_path / "est.txt"

@@ -127,3 +127,11 @@ def test_spec_validation():
         PerturbationSpec(dropout_fraction=1.0)
     with pytest.raises(ValidationError):
         PerturbationSpec(drift_per_frame=(1.0, 2.0))
+
+
+def test_negative_seed_is_a_validation_error():
+    # numpy's SeedSequence raises a bare ValueError for these
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        random_trajectory(seed=-1, n=10, step_mean=0.01, turn_mean=0.0)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        PerturbationSpec(seed=-1)
