@@ -48,11 +48,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .cohort import CohortSummary, MetricRecord, SequenceResult, summarize
+from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, MetricRecord,
+                     SequenceResult, summarize)
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe
 from .geom3d import Trajectory
-from .trajio import load_tum, associate, associate_by_index
+from .trajio import DEFAULT_MAX_TIME_DIFF, load_tum, associate, associate_by_index
 from .trajstats import resample_stride, sequence_stats
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "BatchOutcome",
     "load_manifest",
     "run_batch",
+    "associate_run",
     "MANIFEST_SCHEMA_VERSION",
 ]
 
@@ -71,11 +73,11 @@ MANIFEST_SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class BatchOptions:
-    max_time_diff: float = 0.02
+    max_time_diff: float = DEFAULT_MAX_TIME_DIFF
     rpe_delta: int = 1
     rpe_mode: str = RPE_MODE_FIXED
-    min_tracked: float = 0.9
-    gap_ratio_min: float = 5.0
+    min_tracked: float = DEFAULT_MIN_TRACKED
+    gap_ratio_min: float = DEFAULT_GAP_RATIO_MIN
     index_identity_association: bool = False
     stride: int = 1
 
@@ -190,6 +192,11 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest(tuple(entries), options, version)
 
 
+def associate_run(gt: Trajectory, est: Trajectory, max_time_diff: float, by_index: bool):
+    """A run's pose pairs: by index identity, else by timestamps within max_time_diff."""
+    return associate_by_index(gt, est) if by_index else associate(gt, est, max_time_diff)
+
+
 def _failed_record() -> MetricRecord:
     return MetricRecord(math.nan, math.nan, math.nan, 0.0)
 
@@ -206,10 +213,7 @@ def evaluate_run(
     """
     est = load_tum(est_path)
     try:
-        if options.index_identity_association:
-            assoc = associate_by_index(gt, est)
-        else:
-            assoc = associate(gt, est, options.max_time_diff)
+        assoc = associate_run(gt, est, options.max_time_diff, options.index_identity_association)
     except EmptyAssociationError:
         return _failed_record()
     if options.stride > 1:

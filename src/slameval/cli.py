@@ -28,19 +28,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
-from .batch import load_manifest, run_batch  # noqa: E402
+from .batch import associate_run, load_manifest, run_batch  # noqa: E402
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError  # noqa: E402
 from .geom3d import Pose, Rotation  # noqa: E402
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe  # noqa: E402
 from .report import dump_json, write_report_bundle  # noqa: E402
 from .synth import PerturbationSpec, perturb, random_trajectory  # noqa: E402
-from .trajio import (  # noqa: E402
-    DEFAULT_MAX_TIME_DIFF,
-    associate,
-    associate_by_index,
-    load_tum,
-    save_tum,
-)
+from .trajio import DEFAULT_MAX_TIME_DIFF, load_tum, save_tum  # noqa: E402
 from .trajstats import cohort_stats, resample_stride, sequence_stats  # noqa: E402
 
 EXIT_OK = 0
@@ -68,11 +62,7 @@ def _add_pair_arguments(p: argparse.ArgumentParser) -> None:
 def _load_pair(args):
     gt = load_tum(args.gt)
     est = load_tum(args.est)
-    if args.index_assoc:
-        assoc = associate_by_index(gt, est)
-    else:
-        assoc = associate(gt, est, args.max_diff)
-    return gt, est, assoc
+    return gt, est, associate_run(gt, est, args.max_diff, args.index_assoc)
 
 
 def _cmd_ate(args) -> int:

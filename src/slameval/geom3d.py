@@ -51,37 +51,46 @@ __all__ = [
     "quat_from_axis_angle",
 ]
 
-# Construction rejects quaternions whose norm falls outside this range;
-# anything inside is treated as rounding drift and renormalized.
+# Pose rows whose quaternion norm falls outside this range are rejected; a
+# norm inside it is rounding drift, which parse_tum and Rotation renormalize.
 _QUAT_NORM_MIN = 0.9
 _QUAT_NORM_MAX = 1.1
+
+
+def _bad_pose_row(t: np.ndarray, xyz: np.ndarray, q: np.ndarray) -> tuple[int, str] | None:
+    """The first invalid row of pose arrays t (n,), xyz (n, 3), q (n, 4) and why, or None.
+    The reasons, in order: a non-finite value (a NaN stamp marks an unstamped pose),
+    a stamp not above the previous stamped one, a quaternion norm outside [0.9, 1.1]."""
+    # overflowing or non-finite, a norm is out of range all the same
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.add.reduce(q * q, axis=1))
+    # column by column: numpy's all(axis=1) over three columns is several times slower
+    ok = np.isfinite(xyz[:, 0]) & np.isfinite(xyz[:, 1]) & np.isfinite(xyz[:, 2]) & ~np.isinf(t)
+    ok &= (norm >= _QUAT_NORM_MIN) & (norm <= _QUAT_NORM_MAX)
+    # the running top of the stamps, past unstamped rows: the previous stamp up to the first bad row
+    prev = np.fmax.accumulate(t[:-1])
+    ok[1:] &= ~(t[1:] <= prev)
+    if ok.all():
+        return None
+    i = int(np.argmin(ok))
+    if not (np.isfinite(xyz[i]).all() and np.isfinite(q[i]).all() and not np.isinf(t[i])):
+        return i, "non-finite value"
+    if i and t[i] <= prev[i - 1]:
+        return i, f"timestamp {float(t[i])!r} does not increase over previous {float(prev[i - 1])!r}"
+    # hypot cannot overflow: the message shows the true norm
+    return i, f"quaternion norm {math.hypot(*q[i]):.6g} outside [{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
 
 
 # ---------------------------------------------------------------------------
 # Array-level quaternion helpers (w, x, y, z), broadcasting over (..., 4)
 # ---------------------------------------------------------------------------
 
-def _norm_error(q: np.ndarray) -> str:
-    """The message for one quaternion whose norm is out of range; hypot cannot overflow."""
-    return f"quaternion norm {math.hypot(*q):.6g} outside [{_QUAT_NORM_MIN}, {_QUAT_NORM_MAX}]"
-
-
-def quat_normalize(q: np.ndarray, check: bool = False) -> np.ndarray:
-    """Return unit quaternions with the canonical sign w >= 0.
-
-    With ``check=True`` raises ValidationError for norms outside
-    [0.9, 1.1] instead of silently rescaling wild inputs.
-    """
+def quat_normalize(q: np.ndarray) -> np.ndarray:
+    """Return unit quaternions with the canonical sign w >= 0."""
     q = np.asarray(q, dtype=float)
-    # the reduction np.linalg.norm makes along an axis, without its dispatch; with
-    # check, a norm that overflows is rejected with its true value, not warned about
-    with np.errstate(over="ignore" if check else None):
-        norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
-    if check:
-        bad = ~((norm >= _QUAT_NORM_MIN) & (norm <= _QUAT_NORM_MAX))  # NaN too
-        if np.any(bad):
-            raise ValidationError(_norm_error(q.reshape(-1, 4)[np.argmax(bad)]))
-    if np.any(norm == 0.0):
+    # the reduction np.linalg.norm makes along an axis, without its dispatch
+    norm = np.sqrt(np.add.reduce(q * q, axis=-1, keepdims=True))
+    if not norm.all():
         raise ValidationError("zero-norm quaternion")
     out = q / norm
     sign = np.where(out[..., :1] < 0.0, -1.0, 1.0)
@@ -229,7 +238,10 @@ class Rotation:
         q = np.asarray(self.q, dtype=float)
         if q.shape != (4,):
             raise ValidationError(f"quaternion must have shape (4,), got {q.shape}")
-        object.__setattr__(self, "q", _locked(quat_normalize(q, check=True)))
+        bad = _bad_pose_row(np.zeros(1), np.zeros((1, 3)), q[None])
+        if bad is not None:
+            raise ValidationError(bad[1])
+        object.__setattr__(self, "q", _locked(quat_normalize(q)))
 
     @classmethod
     def identity(cls) -> "Rotation":
@@ -330,9 +342,9 @@ class Trajectory:
     """Poses as read-only arrays ``t`` (n,), ``xyz`` (n, 3) and ``q`` (n, 4).
 
     ``t`` is NaN for an unstamped pose; ``q`` holds unit quaternions
-    (w, x, y, z) with w >= 0. Invariants: at least one pose; timestamps,
-    where present, strictly increase. Indexing and iteration yield
-    ``Pose`` views of the rows.
+    (w, x, y, z) with w >= 0. Invariants: at least one pose; finite values;
+    timestamps, where present, strictly increase. Indexing and iteration
+    yield ``Pose`` views of the rows.
     """
 
     t: np.ndarray
@@ -349,19 +361,18 @@ class Trajectory:
 
     @classmethod
     def from_arrays(cls, t, xyz, q, traj_id: str = "") -> "Trajectory":
-        """A trajectory over copies of the arrays; ``q`` is stored as given."""
+        """A trajectory over copies of the arrays; raises ValidationError naming the first
+        pose that breaks an invariant or has a quaternion norm outside [0.9, 1.1]. ``q`` is
+        stored as given, so pass unit quaternions with w >= 0 (as quat_normalize makes)."""
         t, xyz, q = _locked(t), _locked(xyz), _locked(q)
+        if t.ndim != 1 or xyz.shape != (len(t), 3) or q.shape != (len(t), 4):
+            raise ValidationError(f"pose arrays must have shapes t (n,), xyz (n, 3), q (n, 4), "
+                                  f"got {t.shape}, {xyz.shape}, {q.shape}")
         if len(t) < 1:
             raise ValidationError("a trajectory must contain at least one pose")
-        stamped = np.flatnonzero(~np.isnan(t))
-        ts = t[stamped]
-        bad = np.flatnonzero(ts[1:] <= ts[:-1])
-        if bad.size:
-            k = bad[0]
-            raise ValidationError(
-                f"timestamps must be strictly increasing; pose {stamped[k + 1]} has "
-                f"{float(ts[k + 1])!r} after {float(ts[k])!r}"
-            )
+        bad = _bad_pose_row(t, xyz, q)
+        if bad is not None:
+            raise ValidationError(f"pose {bad[0]}: {bad[1]}")
         return _view(cls, t=t, xyz=xyz, q=q, traj_id=traj_id)
 
     def __len__(self) -> int:

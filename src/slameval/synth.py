@@ -75,6 +75,8 @@ def _smooth_profile(rng: np.random.Generator, n: int, knot_spacing: int = 25) ->
     return knots[i0] * (1.0 - w) + knots[i0 + 1] * w
 
 
+# overflow and its NaN become non-finite poses, which Trajectory.from_arrays rejects
+@np.errstate(over="ignore", invalid="ignore")
 def random_trajectory(
     seed: int,
     n: int,
@@ -121,6 +123,7 @@ def random_trajectory(
     return Trajectory.from_arrays(np.arange(n) / rate_hz, positions, q, f"synth_{seed}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def perturb(gt: Trajectory, spec: PerturbationSpec) -> Trajectory:
     """Apply the perturbation stages of spec to gt.
 

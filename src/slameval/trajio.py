@@ -24,7 +24,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import _QUAT_NORM_MAX, _QUAT_NORM_MIN, Trajectory, _locked, _norm_error, _view
+from .geom3d import Trajectory, _bad_pose_row, _locked, _view, quat_normalize
 
 __all__ = [
     "Association",
@@ -152,30 +152,15 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
         data = np.array(values, dtype=float).reshape(-1, 8)
 
     ts, q = data[:, 0], data[:, [7, 4, 5, 6]]
-    # the norm quat_normalize takes; overflowing or non-finite, it is out of range all the same
-    with np.errstate(over="ignore"):
-        norm = np.sqrt(np.add.reduce(q * q, axis=1))
-    ok = np.isfinite(data[:, :4]).all(axis=1) & (norm >= _QUAT_NORM_MIN) & (norm <= _QUAT_NORM_MAX)
-    ok[1:] &= ts[1:] > ts[:-1]
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        i = int(bad[0])
-        if not np.isfinite(data[i]).all():
-            message = "non-finite value"
-        elif i and ts[i] <= ts[i - 1]:
-            previous, current = ts[i - 1 : i + 1].tolist()
-            message = f"timestamp {current!r} does not increase over previous {previous!r}"
-        else:
-            message = _norm_error(q[i])
-        defect = (message, _line_numbers(lines)[i])
+    # a file cannot leave a pose unstamped: fmin(NaN, inf) is inf, a non-finite value
+    bad = _bad_pose_row(np.fmin(ts, np.inf), data[:, 1:4], q)
+    if bad is not None:
+        defect = (bad[1], _line_numbers(lines)[bad[0]])
     if defect is not None:
         raise ParseError(*defect)
     if not pose_lines:
         raise ValidationError("no pose lines found; a trajectory needs at least one pose")
-    # unit quaternions with w >= 0, bit for bit as quat_normalize makes them
-    q /= norm[:, None]
-    np.negative(q, out=q, where=q[:, :1] < 0.0)
-    t, xyz, q = _locked(ts), _locked(data[:, 1:4]), _locked(q)
+    t, xyz, q = _locked(ts), _locked(data[:, 1:4]), _locked(quat_normalize(q))
     return _view(Trajectory, t=t, xyz=xyz, q=q, traj_id=traj_id)
 
 
@@ -245,6 +230,10 @@ def associate(
     contested); with dense stamps or a wide tolerance most candidates are
     contested and the loop does most of the work.
 
+    Raises ValidationError, before building any, for more candidates than
+    32 (n_gt + n_est), which bounds time and memory: about a 1 s tolerance
+    at 30 Hz, or all against all up to 64 poses a side.
+
     Raises EmptyAssociationError when nothing matches.
     """
     ts_gt = gt.timestamps()
@@ -258,6 +247,10 @@ def associate(
     lo = np.searchsorted(ts_est, ts_gt - max_time_diff, side="left")
     hi = np.searchsorted(ts_est, ts_gt + max_time_diff, side="right")
     counts = hi - lo
+    total, cap = int(counts.sum()), 32 * (len(ts_gt) + len(ts_est))
+    if total > cap:
+        raise ValidationError(f"max_time_diff {max_time_diff!r} s leaves {total} candidate "
+                              f"pairs, more than 32 per pose ({cap})")
     gi = np.repeat(np.arange(len(ts_gt)), counts)
     ej = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(gi))
     dt = np.abs(ts_gt[gi] - ts_est[ej])
