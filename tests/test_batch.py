@@ -8,9 +8,10 @@ from slameval import batch
 from slameval.batch import BatchOptions, load_manifest, run_batch
 from slameval.cli import EXIT_BAD_INPUT, main
 from slameval.errors import ValidationError
+from slameval.geom3d import Trajectory
 from slameval.report import dump_json, summary_to_dict, write_report_bundle
 from slameval.synth import PerturbationSpec, random_trajectory
-from slameval.trajio import associate, associate_by_index, load_tum
+from slameval.trajio import associate, associate_by_index, load_tum, save_tum
 from slameval.trajstats import resample_stride
 
 from conftest import build_synth_cohort, write_manifest
@@ -257,6 +258,40 @@ def test_stride_keeps_estimates_with_gaps_in_phase(tmp_path, monkeypatch, stride
     assert tracked == len(kept) / len(resample_stride(gt, stride))
     if not by_index:
         assert tracked == pytest.approx(0.95, abs=0.03)
+
+
+def test_total_tracking_failures_are_excluded_not_failures(tmp_path):
+    # "lost" has no stamp within the tolerance of any gt stamp; "odd" keeps only
+    # the odd gt frames, so at stride 2 none of its pairs survives
+    gt = random_trajectory(seed=140, n=60, step_mean=0.006, turn_mean=0.02)
+    save_tum(gt, tmp_path / "gt.txt")
+    save_tum(gt, tmp_path / "est_ok.txt")
+    save_tum(Trajectory.from_arrays(gt.t + 100.0, gt.xyz, gt.q), tmp_path / "est_lost.txt")
+    save_tum(gt.subset(range(1, len(gt), 2)), tmp_path / "est_odd.txt")
+    path = write_manifest(tmp_path / "m.json", [
+        {"sequence_id": name, "gt_path": "gt.txt", "estimate_paths": [f"est_{name}.txt"]}
+        for name in ("ok", "lost", "odd")
+    ], stride=2)
+    outcome = run_batch(load_manifest(path), jobs=1)
+    assert outcome.failures == () and outcome.evaluated_count == 3
+    assert outcome.summary.success_rate == 1 / 3
+    doc = json.loads(dump_json(summary_to_dict(outcome, load_manifest(path).options)))
+    assert doc["failures"] == [] and doc["excluded_sequences"] == ["lost", "odd"]
+    for seq in doc["sequences"][1:]:
+        for record in (seq["median"], *seq["runs"]):
+            assert record == {"ate_rmse": None, "rpe_trans": None, "rpe_rot_rad": None,
+                              "rpe_rot_deg": None, "tracked_fraction": 0.0}
+
+
+def test_batch_records_a_tolerance_spanning_everything_as_a_failure(tmp_path):
+    path = _small_cohort(tmp_path, n_seq=1, runs=1)
+    doc = json.loads(path.read_text())
+    doc["options"] = {"max_time_diff": 1e9}
+    path.write_text(json.dumps(doc))
+    outcome = run_batch(load_manifest(path))
+    (failure,) = outcome.failures
+    assert outcome.evaluated_count == 0
+    assert "14400 candidate pairs, more than 32 per pose (7680)" in failure.error
 
 
 def test_batch_isolates_non_utf8_files(tmp_path):

@@ -1,12 +1,16 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from slameval import batch
 from slameval.cli import EXIT_BAD_INPUT, EXIT_EMPTY_ASSOCIATION, EXIT_OK, main
+from slameval.geom3d import Trajectory
 from slameval.synth import PerturbationSpec, perturb, random_trajectory
-from slameval.trajio import load_tum, save_tum
+from slameval.trajio import associate, load_tum, save_tum
 
 from conftest import build_synth_cohort, write_manifest
 
@@ -47,6 +51,54 @@ def test_ate_json_report(traj_files, tmp_path, capsys):
     doc = json.loads(report.read_text())
     assert doc["metric"] == "ate"
     assert doc["rmse"] > 0.0
+
+
+def test_rpe_json_report_matches_printed_values(traj_files, tmp_path, capsys):
+    gt_path, _ = traj_files
+    noisy = perturb(load_tum(gt_path), PerturbationSpec(noise_sigma_rot=0.01, seed=3))
+    save_tum(noisy, tmp_path / "noisy.txt")
+    report = tmp_path / "rpe.json"
+    argv = ["rpe", str(gt_path), str(tmp_path / "noisy.txt"), "--delta", "2", "--json", str(report)]
+    assert main(argv) == EXIT_OK
+    printed = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    doc = json.loads(report.read_text())
+    assert (doc["schema_version"], doc["metric"], doc["delta"]) == (1, "rpe", 2)
+    assert printed["compared_pairs"] == f"{doc['pairs']} (mode={doc['mode']})"
+    assert printed["rpe.trans_rmse"] == f"{doc['trans_rmse']:.6f} m"
+    rot = f"{doc['rot_mean_deg']:.6f} deg ({doc['rot_mean_rad']:.9f} rad)"
+    assert printed["rpe.rot_mean"] == rot and doc["rot_mean_rad"] > 0.0
+    assert doc["rot_mean_deg"] == math.degrees(doc["rot_mean_rad"])
+
+
+def test_index_association_ignores_shifted_stamps(traj_files, tmp_path, capsys):
+    gt_path, drift_path = traj_files
+    drift = load_tum(drift_path)
+    shifted_path = tmp_path / "shifted.txt"
+    save_tum(Trajectory.from_arrays(drift.t + 1000.0, drift.xyz, drift.q), shifted_path)
+    assert main(["ate", str(gt_path), str(drift_path)]) == EXIT_OK
+    by_time = capsys.readouterr().out
+    assert main(["ate", str(gt_path), str(shifted_path), "--index-assoc"]) == EXIT_OK
+    assert capsys.readouterr().out == by_time
+    assert main(["ate", str(gt_path), str(shifted_path)]) == EXIT_EMPTY_ASSOCIATION
+
+
+def test_pair_commands_associate_through_the_batch_choice(traj_files, monkeypatch, capsys):
+    gt_path, drift_path = traj_files
+    calls = []
+    monkeypatch.setattr(batch, "associate", lambda *args: calls.append(args) or associate(*args))
+    for command in ("ate", "rpe"):
+        assert main([command, str(gt_path), str(drift_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["ate", "rpe"])
+def test_tolerance_spanning_everything_is_bad_input(tmp_path, capsys, command):
+    # 100 poses a side at an infinite tolerance: 10000 candidates, over 32 * 200
+    path = tmp_path / "gt.txt"
+    save_tum(random_trajectory(seed=5, n=100, step_mean=0.006, turn_mean=0.02), path)
+    assert main([command, str(path), str(path), "--max-diff", "inf"]) == EXIT_BAD_INPUT
+    assert "10000 candidate pairs, more than 32 per pose (6400)" in capsys.readouterr().err
 
 
 def test_empty_association_exit_code(tmp_path, capsys):
@@ -138,11 +190,15 @@ def test_nan_max_diff_is_bad_input(traj_files, capsys, command):
     ["--noise-rot", "inf"],
     ["--offset", "0,0,0", "--offset-yaw", "nan"],
     ["--seed", "-1"],
+    ["--step-mean", "1e308"],
+    ["--drift", "1e308,0,0"],
 ])
 def test_synth_rejects_non_finite_numbers(tmp_path, capsys, flags):
     gt_out, est_out = tmp_path / "gt.txt", tmp_path / "est.txt"
     argv = ["synth", "--gt-out", str(gt_out), "--est-out", str(est_out), "--frames", "20"]
-    assert main(argv + flags) == EXIT_BAD_INPUT
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # overflow must not warn
+        assert main(argv + flags) == EXIT_BAD_INPUT
     assert "error:" in capsys.readouterr().err
     assert not gt_out.exists() and not est_out.exists()
 

@@ -73,6 +73,44 @@ def test_trajectory_rejects_non_increasing_timestamps():
         Trajectory((Pose.identity(2.0), Pose.identity(1.0)))
 
 
+def _rows_with(k, index, value):
+    """Three valid pose rows (t, xyz, q) with arrays[k][index] set to value."""
+    arrays = [np.arange(3) / 30.0, np.zeros((3, 3)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1))]
+    arrays[k][index] = value
+    return arrays
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ([np.arange(2) / 30.0, np.zeros((3, 3)), np.ones((3, 4)) / 2.0],
+     r"^pose arrays must have shapes t \(n,\), xyz \(n, 3\), q \(n, 4\), "
+     r"got \(2,\), \(3, 3\), \(3, 4\)$"),
+    ([np.arange(3) / 30.0, np.zeros((3, 2)), np.ones((3, 4)) / 2.0],
+     r"^pose arrays must .* got \(3,\), \(3, 2\), \(3, 4\)$"),
+    (_rows_with(0, 2, math.inf), r"^pose 2: non-finite value$"),
+    (_rows_with(1, (1, 0), math.nan), r"^pose 1: non-finite value$"),
+    (_rows_with(2, (1, 2), math.nan), r"^pose 1: non-finite value$"),
+    (_rows_with(2, 2, [2.0, 0.0, 0.0, 0.0]), r"^pose 2: quaternion norm 2 outside \[0.9, 1.1\]$"),
+], ids=["lengths", "xyz-n-by-2", "inf-stamp", "nan-xyz", "nan-q", "norm-2"])
+def test_from_arrays_rejects_bad_pose_rows(arrays, message):
+    with pytest.raises(ValidationError, match=message):
+        Trajectory.from_arrays(*arrays)
+
+
+def test_from_arrays_orders_stamps_past_unstamped_poses_and_keeps_q():
+    t, xyz, q = [0.0, math.nan, 0.5, math.nan, 0.2], np.zeros((5, 3)), np.full((5, 4), 0.525)
+    message = r"^pose 4: timestamp 0.2 does not increase over previous 0.5$"
+    with pytest.raises(ValidationError, match=message):
+        Trajectory.from_arrays(t, xyz, q)
+    traj = Trajectory.from_arrays(t[:4], xyz[:4], q[:4])
+    assert not traj.has_timestamps
+    assert np.array_equal(traj.q, q[:4])  # norm 1.05: stored as given, not renormalized
+
+
+def test_rotation_rejects_non_finite_quaternions():
+    with pytest.raises(ValidationError, match=r"^non-finite value$"):
+        Rotation(np.array([math.nan, 0.0, 0.0, 1.0]))
+
+
 def test_pose_inverse_composes_to_identity():
     rng = np.random.default_rng(2)
     for _ in range(200):

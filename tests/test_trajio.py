@@ -63,6 +63,13 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf"])
+def test_parse_rejects_a_non_finite_stamp(stamp):
+    # a file cannot leave a pose unstamped: a NaN stamp is a non-finite value too
+    with pytest.raises(ParseError, match=r"^line 3: non-finite value$"):
+        parse_tum(f"0 0 0 0 0 0 0 1\n# gap\n{stamp} 0 0 0 0 0 0 1\n5 0 0 0 0 0 0 1\n")
+
+
 def test_parse_empty_stream_is_rejected():
     with pytest.raises(ValidationError):
         parse_tum("# only a comment\n")
@@ -163,6 +170,28 @@ def test_associate_requires_timestamps():
     unstamped = Trajectory((Pose.identity(),))
     with pytest.raises(ValidationError):
         associate(unstamped, _stamped([0.0]), 0.02)
+
+
+def _clock(n: int) -> Trajectory:
+    """n identity poses at 30 Hz."""
+    return Trajectory.from_arrays(np.arange(n) / 30.0, np.zeros((n, 3)), np.eye(4)[[0] * n])
+
+
+def test_associate_refuses_a_tolerance_spanning_everything():
+    # at 1e9 s every pair of two 2000-pose trajectories is a candidate: 4 million of them
+    with pytest.raises(ValidationError, match=r"leaves 4000000 candidate pairs, more than 32 per"):
+        associate(_clock(2000), _clock(2000), 1e9)
+
+
+@pytest.mark.parametrize("n, refused", [(64, False), (65, True)])
+def test_associate_admits_32_candidates_per_pose(n, refused):
+    # all against all: n * n candidates against the cap 32 * (n + n)
+    if refused:
+        message = rf"leaves {n * n} candidate pairs, more than 32 per pose \({64 * n}\)$"
+        with pytest.raises(ValidationError, match=message):
+            associate(_clock(n), _clock(n), math.inf)
+    else:
+        assert associate(_clock(n), _clock(n), math.inf).pairs == tuple((i, i) for i in range(n))
 
 
 def test_association_injective_and_bounded():
