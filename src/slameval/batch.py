@@ -216,10 +216,9 @@ def evaluate_run(
         assoc = associate_run(gt, est, options.max_time_diff, options.index_identity_association)
     except EmptyAssociationError:
         return _failed_record()
-    if options.stride > 1:
-        assoc = assoc.strided(options.stride)
-        if not len(assoc):
-            return _failed_record()
+    assoc = assoc.strided(options.stride)
+    if not len(assoc):
+        return _failed_record()
 
     n = len(assoc)
     ate_rmse = ate(gt_strided, est, assoc).rmse

@@ -230,11 +230,10 @@ def associate(
     contested); with dense stamps or a wide tolerance most candidates are
     contested and the loop does most of the work.
 
-    Raises ValidationError, before building any, for more candidates than
-    32 (n_gt + n_est), which bounds time and memory: about a 1 s tolerance
-    at 30 Hz, or all against all up to 64 poses a side.
-
-    Raises EmptyAssociationError when nothing matches.
+    Raises EmptyAssociationError when nothing matches, and ValidationError,
+    before building any, for more candidates than 32 (n_gt + n_est), which
+    bounds time and memory: about a 1 s tolerance at 30 Hz, or all against
+    all up to 64 poses a side.
     """
     ts_gt = gt.timestamps()
     ts_est = est.timestamps()
