@@ -174,7 +174,8 @@ def test_associate_requires_timestamps():
 
 def _clock(n: int) -> Trajectory:
     """n identity poses at 30 Hz."""
-    return Trajectory.from_arrays(np.arange(n) / 30.0, np.zeros((n, 3)), np.eye(4)[[0] * n])
+    identity = np.tile([1.0, 0.0, 0.0, 0.0], (n, 1))
+    return Trajectory.from_arrays(np.arange(n) / 30.0, np.zeros((n, 3)), identity)
 
 
 def test_associate_refuses_a_tolerance_spanning_everything():
