@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -40,6 +40,11 @@ __all__ = [
 
 # Under one frame interval of a 30 Hz sensor.
 DEFAULT_MAX_TIME_DIFF = 0.02
+
+# Rows formatted at a time when writing: a block is about 60 KiB of text, so
+# writing holds that much, not the whole file, whatever the length.
+_BLOCK_ROWS = 512
+_TUM_ROW = "%.9f" + " %.12f" * 7 + "\n"
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -180,30 +185,57 @@ def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     return parse_tum(text, traj_id if traj_id is not None else path.stem)
 
 
+def _tum_blocks(traj: Trajectory) -> Iterator[str]:
+    """The TUM text of traj in pieces: the header, then each block of _BLOCK_ROWS rows.
+
+    Raises ValidationError for an unstamped pose at the call, before any
+    piece is made, so a writer can check before it opens its target.
+    """
+    missing = np.flatnonzero(np.isnan(traj.t))
+    if missing.size:
+        raise ValidationError(f"pose {missing[0]} has no timestamp; cannot write TUM format")
+
+    def blocks() -> Iterator[str]:
+        yield "# timestamp tx ty tz qx qy qz qw\n"
+        for lo in range(0, len(traj), _BLOCK_ROWS):
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            q = traj.q[rows]
+            values = np.hstack([traj.t[rows, None], traj.xyz[rows], q[:, 1:], q[:, :1]])
+            yield (_TUM_ROW * len(values)) % tuple(values.ravel().tolist())
+
+    return blocks()
+
+
 def dumps_tum(traj: Trajectory) -> str:
     """Serialize a fully timestamped trajectory to TUM-format text.
 
     Fixed-decimal formatting; parse_tum(dumps_tum(t)) matches t within
     1e-9 per pose in translation, rotation angle, and timestamp.
     """
-    missing = np.flatnonzero(np.isnan(traj.t))
-    if missing.size:
-        raise ValidationError(f"pose {missing[0]} has no timestamp; cannot write TUM format")
-    rows = np.hstack([traj.t[:, None], traj.xyz, traj.q[:, 1:], traj.q[:, :1]]).tolist()
-    line = "%.9f" + " %.12f" * 7 + "\n"
-    return "# timestamp tx ty tz qx qy qz qw\n" + "".join(line % tuple(row) for row in rows)
+    return "".join(_tum_blocks(traj))
 
 
 def write_tum(traj: Trajectory, stream: IO[str]) -> None:
-    """Write a trajectory to an open text stream in TUM format."""
-    stream.write(dumps_tum(traj))
+    """Write a trajectory to an open text stream in TUM format, block by block.
+
+    Writes nothing when a pose is unstamped.
+    """
+    for block in _tum_blocks(traj):
+        stream.write(block)
 
 
 def save_tum(traj: Trajectory, path: str | Path) -> None:
+    """Write a trajectory to a TUM-format file, block by block.
+
+    An unstamped pose raises ValidationError before the file is opened,
+    so an existing file keeps its bytes.
+    """
+    blocks = _tum_blocks(traj)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fp:
-        write_tum(traj, fp)
+        for block in blocks:
+            fp.write(block)
 
 
 def associate(
