@@ -97,8 +97,10 @@ def random_trajectory(
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if not all(map(math.isfinite, (step_mean, turn_mean, height, rate_hz))):
-        raise ValidationError("random_trajectory needs finite step_mean, turn_mean, height, rate_hz")
+    if not all(map(math.isfinite, (step_mean, turn_mean, height))):
+        raise ValidationError("random_trajectory needs finite step_mean, turn_mean, height")
+    if not 0 < rate_hz < math.inf:  # NaN too
+        raise ValidationError(f"rate_hz must be finite and > 0, got {rate_hz!r}")
     rng = np.random.default_rng(seed)
 
     heading0 = rng.uniform(0.0, 2.0 * np.pi)
