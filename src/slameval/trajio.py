@@ -41,8 +41,7 @@ __all__ = [
 # Under one frame interval of a 30 Hz sensor.
 DEFAULT_MAX_TIME_DIFF = 0.02
 
-# Rows formatted at a time when writing: a block is about 60 KiB of text, so
-# writing holds that much, not the whole file, whatever the length.
+# Rows per block of written text (about 60 KiB), so writing holds one block, not the file.
 _BLOCK_ROWS = 512
 _TUM_ROW = "%.9f" + " %.12f" * 7 + "\n"
 
