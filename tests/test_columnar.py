@@ -8,7 +8,7 @@ import pytest
 import pose_loop_reference as ref
 from slameval.geom3d import Pose, Rotation, Trajectory
 from slameval.synth import PerturbationSpec, perturb, random_trajectory
-from slameval.trajio import dumps_tum, parse_tum
+from slameval.trajio import _BLOCK_ROWS, dumps_tum, parse_tum
 
 from conftest import random_pose, random_pose_trajectory
 
@@ -68,6 +68,10 @@ def test_tum_text_matches_pose_loop():
         random_pose_trajectory(rng, 200, trans_scale=1e4),
         Trajectory((Pose(Rotation(np.array([-1.0, -0.0, 0.0, -0.0])), np.array([-0.0, 0.0, -1e-13]), 0.0),)),
     ]
+    # around the block boundaries of the writer
+    b = _BLOCK_ROWS
+    long = random_trajectory(22, 2 * b + 1, 0.006, 0.025)
+    trajectories += [long.subset(range(n)) for n in (1, b - 1, b, b + 1, 2 * b + 1)]
     for traj in trajectories:
         text = dumps_tum(traj)
         same_text = text == ref.dumps_tum(traj)

@@ -1,6 +1,7 @@
 """Property: on any text, parse_tum agrees with its pose-by-pose reference."""
 
 import io
+import math
 
 import pytest
 
@@ -19,7 +20,10 @@ _number = st.one_of(
     st.sampled_from(["0.7071068", "1", "-1", "1e308", "1e-320", "1_0", "0x1", "٣", "nan", "-inf"]),
 )
 _token = st.one_of(_number, _number, _number, st.text(max_size=3))
-_pose = st.tuples(st.floats(-1e6, 1e6), _number, st.floats(-1.0, 1.0)).map(
+_finite_stamp = st.floats(-1e6, 1e6)
+_stamp = st.one_of(_finite_stamp, _finite_stamp, _finite_stamp,
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
+_pose = st.tuples(_stamp, _number, st.floats(-1.0, 1.0)).map(
     lambda v: f"{v[0]!r} {v[1]} 0 0 0 0 {v[2]!r} 1"
 )
 _line = st.one_of(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,3 +136,12 @@ def test_negative_seed_is_a_validation_error():
         random_trajectory(seed=-1, n=10, step_mean=0.01, turn_mean=0.0)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         PerturbationSpec(seed=-1)
+
+
+@pytest.mark.parametrize("rate_hz", [0.0, -30.0, math.nan, math.inf])
+def test_rate_must_be_finite_and_positive(rate_hz):
+    # 0 divided by zero with a RuntimeWarning, and -30 failed as a non-increasing stamp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="rate_hz must be finite and > 0"):
+            random_trajectory(seed=1, n=10, step_mean=0.01, turn_mean=0.0, rate_hz=rate_hz)

@@ -6,7 +6,9 @@ import pytest
 
 from slameval.errors import EmptyAssociationError, ParseError, ValidationError
 from slameval.geom3d import Pose, Trajectory
+from slameval.synth import random_trajectory
 from slameval.trajio import (
+    _BLOCK_ROWS,
     associate,
     associate_by_index,
     dumps_tum,
@@ -115,6 +117,52 @@ def test_write_stream_and_file(tmp_path):
     path = tmp_path / "traj.txt"
     save_tum(t, path)
     assert load_tum(path).poses == parse_tum(dumps_tum(t)).poses
+
+
+class _RecordingStream:
+    """A text stream that keeps each write as one piece."""
+
+    def __init__(self):
+        self.pieces = []
+
+    def write(self, text):
+        self.pieces.append(text)
+        return len(text)
+
+
+def _unstamped_in_last_block():
+    traj = random_trajectory(12, 2 * _BLOCK_ROWS + 1, 0.006, 0.025)
+    t = traj.t.copy()
+    t[-1] = np.nan
+    return Trajectory.from_arrays(t, traj.xyz, traj.q)
+
+
+def test_write_stream_in_blocks():
+    traj = random_trajectory(13, _BLOCK_ROWS + 1, 0.006, 0.025)
+    stream = _RecordingStream()
+    write_tum(traj, stream)
+    assert len(stream.pieces) > 1
+    assert max(piece.count("\n") for piece in stream.pieces) == _BLOCK_ROWS
+    assert "".join(stream.pieces) == dumps_tum(traj)
+
+
+def test_write_nothing_for_an_unstamped_pose():
+    traj = _unstamped_in_last_block()
+    stream = _RecordingStream()
+    with pytest.raises(ValidationError, match=f"pose {2 * _BLOCK_ROWS} has no timestamp"):
+        write_tum(traj, stream)
+    assert stream.pieces == []
+
+
+def test_failed_save_keeps_the_existing_file(tmp_path):
+    path = tmp_path / "traj.txt"
+    path.write_bytes(b"0 0 0 0 0 0 0 1\n")
+    with pytest.raises(ValidationError, match="no timestamp"):
+        save_tum(_unstamped_in_last_block(), path)
+    assert path.read_bytes() == b"0 0 0 0 0 0 0 1\n"
+    with pytest.raises(ValidationError, match="no timestamp"):
+        save_tum(_unstamped_in_last_block(), tmp_path / "new.txt")
+    assert not (tmp_path / "new.txt").exists()
 
 
 def test_empty_trajectory_cannot_exist():
