@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ValidationError
 from .geom3d import Pose, Rotation
 
-__all__ = ["AlignmentResult", "horn_align"]
+__all__ = ["AlignmentResult", "horn_align", "horn_align_segments"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,6 +84,7 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     inputs are still aligned so short sequences do not crash batch runs:
     n == 1 reduces to a pure translation and n == 2 resolves the free
     rotation about the segment by choosing the minimal rotation angle.
+    The result is the one segment of ``horn_align_segments``.
     """
     q = _as_points(gt_points, "gt_points")
     p = _as_points(est_points, "est_points")
@@ -94,20 +95,46 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     n = p.shape[0]
     if n == 0:
         raise ValidationError("cannot align empty point sets")
+    rot_m, t, residuals, (rmse,) = horn_align_segments(q, p, np.array([n]))
+    return AlignmentResult(rot_m[0], t[0], residuals, rmse, n)
 
-    p_mean = p.mean(axis=0)
-    q_mean = q.mean(axis=0)
-    if n == 1:
-        rot_m = np.eye(3)
-    elif n == 2:
-        rot_m = _minimal_rotation_between(p[1] - p[0], q[1] - q[0])
-    else:
-        u, _, vt = np.linalg.svd((p - p_mean).T @ (q - q_mean))
-        d = np.sign(np.linalg.det(u @ vt))  # det(V U^T)
-        rot_m = (vt.T * [1.0, 1.0, d]) @ u.T
 
-    t = q_mean - rot_m @ p_mean
-    residuals = p @ rot_m.T + t - q
-    sq = np.einsum("ij,ij->i", residuals, residuals)
-    rmse = math.sqrt(math.fsum(sq.tolist()) / n)
-    return AlignmentResult(rot_m, t, np.sqrt(sq), rmse, n)
+def _per_row(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-segment values (..., k) repeated along the last axis for each row of
+    the segment; a single segment's broadcast instead, which multiplies the same."""
+    return values if len(counts) == 1 else np.repeat(values, counts, axis=-1)
+
+
+def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
+    """``horn_align`` of each segment of the point arrays q, p (n, 3) in one pass.
+
+    Segment k is the next counts[k] >= 1 rows. Returns the rotation
+    matrices (k, 3, 3), the translations (k, 3), the residual norm of
+    every row (n,) and the RMSE of each segment as a list. A segment's
+    values do not depend on the segments beside it.
+    """
+    starts = np.cumsum(counts) - counts
+    # coordinate-major (3, n): each sum over a segment runs along contiguous memory
+    p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
+    p_mean = np.add.reduceat(p, starts, axis=1) / counts
+    q_mean = np.add.reduceat(q, starts, axis=1) / counts
+    pc, qc = p - _per_row(p_mean, counts), q - _per_row(q_mean, counts)
+    # the cross-covariance sum (p_i - p_mean)(q_i - q_mean)^T of each segment
+    h = np.add.reduceat(pc[:, None] * qc[None], starts, axis=2)
+    u, _, vt = np.linalg.svd(h.transpose(2, 0, 1))
+    vt[:, 2] *= np.sign(np.linalg.det(u @ vt))[:, None]  # diag(1, 1, det(V U^T))
+    rot_m = vt.transpose(0, 2, 1) @ u.transpose(0, 2, 1)
+    for k in np.flatnonzero(counts <= 2).tolist():
+        a = starts[k]
+        rot_m[k] = np.eye(3) if counts[k] == 1 else _minimal_rotation_between(
+            p[:, a + 1] - p[:, a], q[:, a + 1] - q[:, a])
+
+    t = q_mean.T - np.einsum("kij,jk->ki", rot_m, p_mean)
+    # R (p_i - p_mean) - (q_i - q_mean) = R p_i + t - q_i, with R of the row's segment
+    r = _per_row(rot_m.transpose(1, 2, 0), counts)
+    residuals = r[:, 0] * pc[0] + r[:, 1] * pc[1] + r[:, 2] * pc[2] - qc
+    sq = np.add.reduce(residuals * residuals, axis=0)
+    sq_list = sq.tolist()
+    rmse = [math.sqrt(math.fsum(sq_list[a : a + n]) / n)
+            for a, n in zip(starts.tolist(), counts.tolist())]
+    return rot_m, t, np.sqrt(sq), rmse

@@ -34,27 +34,38 @@ All options are optional and default as above; ``rpe_delta`` and
 and ``gt_path`` are non-empty strings. Relative paths resolve against
 the manifest's directory.
 
-Evaluation of different sequences is independent, so the runner can
-fan out over worker processes; results are reduced in manifest order
-either way, which keeps the numeric content identical regardless of
-job count and the report byte-identical at jobs=1.
+The runner splits the sequences into shares, one per worker process,
+this process included. A share's files are read one by one, and all of
+its runs are scored in one array pass. A run's numbers do not depend on
+what else is in its pass, and results are reduced in manifest order, so
+the report is byte-identical at every job count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
+import numpy as np
+
+from .align import horn_align_segments
 from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, MetricRecord,
                      SequenceResult, summarize)
-from .errors import EmptyAssociationError, SlamEvalError, ValidationError
-from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe
-from .geom3d import Trajectory
-from .trajio import DEFAULT_MAX_TIME_DIFF, load_tum, associate, associate_by_index
-from .trajstats import resample_stride, sequence_stats
+from .errors import SlamEvalError, ValidationError
+from .geom3d import Trajectory, quat_conj, quat_mul
+from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _check_all_pairs_size, rpe_segments
+from .trajio import (DEFAULT_MAX_TIME_DIFF, _match_windows, _time_windows, associate,
+                     associate_by_index, load_tum)
+from .trajstats import resample_stride, segment_stats
+
+# per-run layers that perfbench/tracer.py wraps at these names; batches score whole shares
+from .metrics import ate, rpe  # noqa: F401
+from .trajstats import sequence_stats  # noqa: F401
 
 __all__ = [
     "BatchOptions",
@@ -201,81 +212,308 @@ def _failed_record() -> MetricRecord:
     return MetricRecord(math.nan, math.nan, math.nan, 0.0)
 
 
-def evaluate_run(
-    gt: Trajectory, gt_strided: Trajectory, est_path: Path, options: BatchOptions
-) -> MetricRecord:
-    """Evaluate one estimate file against a loaded ground truth.
+def _share_pairs(runs: list[tuple[Trajectory, Trajectory]], options: BatchOptions):
+    """The pose pairs of all runs (gt, est) at once, at the evaluated stride.
 
-    The whole estimate is associated with the whole ground truth. At
-    stride s the pairs on every s-th gt pose are kept and re-indexed into
-    ``gt_strided`` (gt resampled at stride s), so a dropped estimate
-    frame cannot shift the estimate out of phase with the stride.
+    Returns, for each pair in run order and then gt order, its run, its gt
+    index into the gt resampled at the stride and its est index; plus the
+    error message of each run whose tolerance leaves too many candidates.
+    Each run is associated whole; at stride s the pairs on every s-th gt
+    pose are kept, so a dropped estimate frame cannot shift the estimate
+    out of phase with the stride. Every run gets exactly the pairs that
+    ``associate_run(gt, est, ...).strided(s)`` gives it alone.
     """
-    est = load_tum(est_path)
-    try:
-        assoc = associate_run(gt, est, options.max_time_diff, options.index_identity_association)
-    except EmptyAssociationError:
-        return _failed_record()
-    assoc = assoc.strided(options.stride)
-    if not len(assoc):
-        return _failed_record()
+    failed: dict[int, str] = {}
+    n_gt = np.array([len(gt) for gt, _ in runs])
+    if options.index_identity_association:
+        m = np.minimum(n_gt, [len(est) for _, est in runs])
+        run = np.repeat(np.arange(len(runs)), m)
+        gi = ej = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+    else:
+        # one matching over every run's candidates, each run's indices offset past the
+        # previous runs' (a ground truth shared by runs is repeated once per run)
+        tol = options.max_time_diff
+        n_est = np.array([len(est) for _, est in runs])
+        gt_start, est_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_est) - n_est
+        lo, counts = [], []
+        for r, (gt, est) in enumerate(runs):
+            try:
+                window_lo, window_counts = _time_windows(gt.t, est.t, tol)
+            except ValidationError as exc:
+                failed[r] = str(exc)
+                window_lo = window_counts = np.zeros(len(gt), dtype=int)
+            lo.append(window_lo + est_start[r])
+            counts.append(window_counts)
+        gi, ej = _match_windows(np.concatenate([gt.t for gt, _ in runs]),
+                                np.concatenate([est.t for _, est in runs]),
+                                np.concatenate(lo), np.concatenate(counts), tol)
+        run = np.searchsorted(gt_start, gi, side="right") - 1
+        gi, ej = gi - gt_start[run], ej - est_start[run]
+    keep = gi % options.stride == 0
+    return run[keep], gi[keep] // options.stride, ej[keep], failed
 
-    n = len(assoc)
-    ate_rmse = ate(gt_strided, est, assoc).rmse
-    rpe_trans = rpe_rot = math.nan
-    if n >= 2 and (options.rpe_mode == RPE_MODE_ALL_PAIRS or options.rpe_delta < n):
-        report = rpe(gt_strided, est, assoc, options.rpe_delta, options.rpe_mode)
-        rpe_trans, rpe_rot = report.trans_rmse, report.rot_mean
-    return MetricRecord(ate_rmse, rpe_trans, rpe_rot, n / len(gt_strided))
+
+def _score_runs(gts: list[Trajectory], runs: list[tuple[Trajectory, Trajectory]],
+                run_seq: list[int], options: BatchOptions) -> list[MetricRecord | str]:
+    """Each run's metrics, or the message of the error that failed it, in one pass.
+
+    runs[r] is (gt, est) with gts[run_seq[r]] its ground truth at the
+    stride. One ATE pass and one RPE pass score every run that has pairs;
+    a run without pairs is a tracking failure with NaN metrics.
+    """
+    records: list[MetricRecord | str] = [_failed_record()] * len(runs)
+    run, gi, ej, failed = _share_pairs(runs, options)
+    counts = np.bincount(run, minlength=len(runs))
+    if options.rpe_mode == RPE_MODE_ALL_PAIRS:
+        for r in np.flatnonzero(counts > 1).tolist():
+            try:
+                _check_all_pairs_size(int(counts[r]))
+            except ValidationError as exc:
+                failed[r] = str(exc)
+        if failed:
+            kept = ~np.isin(run, list(failed))
+            run, gi, ej = run[kept], gi[kept], ej[kept]
+            counts = np.bincount(run, minlength=len(runs))
+    for r, error in failed.items():
+        records[r] = error
+    scored = np.flatnonzero(counts)
+    n = counts[scored]
+    if not len(n):
+        return records
+
+    # each pair's rows in the concatenated ground truths and estimates
+    gt_len = np.array([len(gt) for gt in gts])
+    est_len = np.array([len(est) for _, est in runs])
+    rows_gt = (np.cumsum(gt_len) - gt_len)[np.array(run_seq)[run]] + gi
+    rows_est = (np.cumsum(est_len) - est_len)[run] + ej
+    gt_xyz = np.concatenate([gt.xyz for gt in gts])[rows_gt]
+    est_xyz = np.concatenate([est.xyz for _, est in runs])[rows_est]
+    c = quat_mul(np.concatenate([gt.q for gt in gts])[rows_gt],
+                 quat_conj(np.concatenate([est.q for _, est in runs])[rows_est]))
+    ate_rmse = horn_align_segments(gt_xyz, est_xyz, n)[3]
+    rpe_t, rpe_r, _, _ = rpe_segments(c, gt_xyz, est_xyz, n, options.rpe_delta, options.rpe_mode)
+    for r, k, a, t, rot in zip(scored.tolist(), n.tolist(), ate_rmse, rpe_t, rpe_r):
+        records[r] = MetricRecord(a, t, rot, k / len(gts[run_seq[r]]))
+    return records
+
+
+def _read_entry(entry: SequenceEntry):
+    """(entry, ground truth, per estimate a Failure or (path, trajectory)), with
+    the ground truth None and its Failure the one item when it cannot be read."""
+    try:
+        gt = load_tum(entry.gt_path)
+    except (OSError, SlamEvalError) as exc:
+        return entry, None, [Failure(entry.sequence_id, str(entry.gt_path), str(exc))]
+    items: list = []
+    for est_path in entry.estimate_paths:
+        try:
+            items.append((str(est_path), load_tum(est_path)))
+        except (OSError, SlamEvalError) as exc:
+            items.append(Failure(entry.sequence_id, str(est_path), str(exc)))
+    return entry, gt, items
+
+
+def _evaluate_block(block: list, options: BatchOptions) -> list:
+    """The results of entries read by ``_read_entry``: one pass over the strided
+    ground truths, and ``_score_runs`` over all their runs at once."""
+    gts: list[Trajectory] = []  # the ground truths read, at the stride
+    runs: list[tuple[Trajectory, Trajectory]] = []
+    run_seq: list[int] = []
+    for _, gt, items in block:
+        if gt is not None:
+            gts.append(resample_stride(gt, options.stride))
+            for item in items:
+                if not isinstance(item, Failure):
+                    runs.append((gt, item[1]))
+                    run_seq.append(len(gts) - 1)
+    stats, records = [], []
+    if gts:
+        stats = segment_stats(*(np.concatenate([getattr(gt, name) for gt in gts])
+                                for name in ("t", "xyz", "q")), np.array([len(gt) for gt in gts]))
+    if runs:
+        records = iter(_score_runs(gts, runs, run_seq, options))
+
+    evaluated = []
+    seq = -1
+    for entry, gt, items in block:
+        failures: list[Failure] = []
+        done: list[MetricRecord] = []
+        for item in items:
+            record = item if isinstance(item, Failure) else next(records)
+            if isinstance(record, str):
+                record = Failure(entry.sequence_id, item[0], record)
+            (failures if isinstance(record, Failure) else done).append(record)
+        if gt is not None:
+            seq += 1
+        result = SequenceResult.from_runs(entry.sequence_id, done, stats[seq]) if done else None
+        evaluated.append((result, failures))
+    return evaluated
+
+
+# Poses read per block of a share; the array pass holds one block's trajectories.
+_BLOCK_POSES = 1 << 14
+
+
+def _evaluate_share(
+    entries: Sequence[SequenceEntry], options: BatchOptions
+) -> list[tuple[SequenceResult | None, list[Failure]]]:
+    """Evaluate all runs of the entries; file problems become failures.
+
+    Files are read one by one, in blocks of about _BLOCK_POSES poses. In
+    each block all runs are associated together, and one pass over the
+    strided ground truths, one ATE pass and one RPE pass score every
+    sequence and run. An entry's result is the one it gets alone, bit for
+    bit, whatever shares its block.
+    """
+    evaluated: list = []
+    block: list = []
+    poses = 0
+    for k, entry in enumerate(entries):
+        block.append(_read_entry(entry))
+        _, gt, items = block[-1]
+        poses += sum(len(item[1]) for item in items if not isinstance(item, Failure))
+        poses += 0 if gt is None else len(gt)
+        if poses >= _BLOCK_POSES or k == len(entries) - 1:
+            evaluated += _evaluate_block(block, options)
+            block, poses = [], 0
+    return evaluated
 
 
 def evaluate_sequence(
     entry: SequenceEntry, options: BatchOptions
 ) -> tuple[SequenceResult | None, list[Failure]]:
     """Evaluate all runs of one sequence; file problems become failures."""
-    failures: list[Failure] = []
-    try:
-        gt = load_tum(entry.gt_path)
-    except (OSError, SlamEvalError) as exc:
-        failures.append(Failure(entry.sequence_id, str(entry.gt_path), str(exc)))
-        return None, failures
-    gt_strided = resample_stride(gt, options.stride)
-    stats = sequence_stats(gt_strided)
+    return _evaluate_share([entry], options)[0]
 
-    records: list[MetricRecord] = []
-    for est_path in entry.estimate_paths:
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _fork_is_safe() -> bool:
+    """A forked child holds only the calling thread: on Linux, with no other
+    Python thread that could hold a lock the child needs, fork is safe."""
+    import threading
+
+    return sys.platform == "linux" and threading.active_count() == 1
+
+
+def _send_share(fd: int, share, options: BatchOptions) -> None:
+    """In a forked child: evaluate the share, send (True, results) or (False,
+    exception, traceback) through fd, and leave without running exit handlers
+    or flushing the buffers copied from the parent."""
+    import pickle
+
+    try:
         try:
-            records.append(evaluate_run(gt, gt_strided, est_path, options))
-        except (OSError, SlamEvalError) as exc:
-            failures.append(Failure(entry.sequence_id, str(est_path), str(exc)))
-    if not records:
-        return None, failures
-    return SequenceResult.from_runs(entry.sequence_id, records, stats), failures
+            message = (True, _evaluate_share(share, options))
+        except BaseException as exc:  # sent to the parent, which raises it
+            import traceback
+
+            message = (False, exc, traceback.format_exc())
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                message = (False, RuntimeError(f"{type(exc).__name__}: {exc}"), message[2])
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump(message, pipe)
+    finally:
+        os._exit(0)
+
+
+def _forked_shares(shares: list, options: BatchOptions) -> list:
+    """shares[1:] in forked children and shares[0] here, results in share order.
+
+    Every child is reaped before this returns or raises. The first error,
+    this process's own first, is raised: a share's exception with its type
+    and message, or ChildProcessError for a child that sent no result.
+    """
+    import pickle
+
+    children: list[tuple[int, int]] = []
+    results: list = [None]
+    errors: list[BaseException] = []
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _send_share(write_fd, share, options)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results[0] = _evaluate_share(shares[0], options)
+    except BaseException as exc:
+        errors.append(exc)
+    for pid, read_fd in children:
+        with os.fdopen(read_fd, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if errors:
+            continue
+        if not data:
+            ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            errors.append(ChildProcessError(f"batch worker {pid} ended by {ended} "
+                                            f"without sending its result"))
+            continue
+        message = pickle.loads(data)
+        if message[0]:
+            results.append(message[1])
+        else:
+            exc = message[1]
+            exc.__cause__ = RuntimeError(f"in batch worker {pid}:\n{message[2]}")
+            errors.append(exc)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _pooled_shares(shares: list, options: BatchOptions) -> list:
+    """shares[1:] in a pool of spawned processes and shares[0] here, results in share order."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=len(shares) - 1, mp_context=context) as pool:
+        futures = [pool.submit(_evaluate_share, share, options) for share in shares[1:]]
+        first = _evaluate_share(shares[0], options)
+        return [first, *(future.result() for future in futures)]
 
 
 def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     """Evaluate every manifest entry and summarize the cohort.
 
-    jobs > 1 distributes sequences over min(jobs, sequences) worker
-    processes. Results are always reduced in manifest order, so the
-    numbers cannot depend on scheduling; jobs = 1 additionally
-    guarantees a bit-identical pass through a single interpreter.
+    jobs > 1 splits the entries into min(jobs, sequences, usable CPUs)
+    interleaved shares. This process evaluates the first; on Linux the
+    others go to forked children, elsewhere (or with other threads alive)
+    to a pool of spawned processes. Results are reduced in manifest order,
+    and each share's numbers are those of its entries alone, so the
+    report is bit-identical at every job count.
     """
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
     options = manifest.options
     entries = manifest.entries
 
-    workers = min(jobs, len(entries))
-    if workers <= 1:
-        evaluated = [evaluate_sequence(e, options) for e in entries]
+    workers = min(jobs, len(entries), _usable_cpus())
+    shares = [entries[k::workers] for k in range(workers)]
+    if workers == 1:
+        done = [_evaluate_share(entries, options)]
+    elif _fork_is_safe():
+        done = _forked_shares(shares, options)
     else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # four chunks per worker: few round trips, still balanced
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate_sequence, entries, [options] * len(entries),
-                                      chunksize=math.ceil(len(entries) / (4 * workers))))
+        done = _pooled_shares(shares, options)
+    evaluated: list = [None] * len(entries)
+    for k, share_results in enumerate(done):
+        evaluated[k::workers] = share_results
 
     results: list[SequenceResult] = []
     failures: list[Failure] = []

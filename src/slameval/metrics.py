@@ -48,6 +48,7 @@ __all__ = [
     "RpeReport",
     "ate",
     "rpe",
+    "rpe_segments",
     "RPE_MODE_FIXED",
     "RPE_MODE_ALL_PAIRS",
     "ALL_PAIRS_DEFAULT_CAP",
@@ -128,6 +129,56 @@ def _pair_errors(c, gt_xyz, est_xyz, i, j):
     return err_t, err_r
 
 
+def _segment_means(values: np.ndarray, counts) -> list[float]:
+    """The mean of each segment of counts[k] consecutive values; NaN for an empty one."""
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [math.fsum(flat[b - m : b]) / m if m else math.nan
+            for b, m in zip(ends, np.asarray(counts).tolist())]
+
+
+def _fixed_delta_pairs(counts: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, i + delta) inside each segment of counts[k] consecutive rows:
+    the first index i of every pair, in row order, and the pair count of each segment."""
+    m = np.maximum(counts - delta, 0)
+    # a segment's first row minus the place of its first pair in the list
+    shift = (np.cumsum(counts) - counts) - (np.cumsum(m) - m)
+    return np.arange(m.sum()) + np.repeat(shift, m), m
+
+
+def rpe_segments(c, gt_xyz, est_xyz, counts: np.ndarray, delta: int, mode: str):
+    """RPE of each segment of counts[k] consecutive associated rows in one pass.
+
+    c, gt_xyz and est_xyz hold each row's offset q conj(p) and positions.
+    Returns each segment's translation RMSE and mean rotation angle (NaN
+    for a segment without pairs) and the per-pair errors of all segments.
+    Fixed delta scores every segment's pairs (i, i + delta) at once; all
+    pairs, O(n^2) per segment, goes delta by delta within each segment.
+    """
+    if mode == RPE_MODE_FIXED:
+        i, m = _fixed_delta_pairs(counts, delta)
+        err_t, err_r = _pair_errors(c, gt_xyz, est_xyz, i, i + delta)
+    else:
+        ends = np.cumsum(counts)
+        parts = [_pair_errors(c[a:b], gt_xyz[a:b], est_xyz[a:b], slice(None, -d), slice(d, None))
+                 for a, b in zip((ends - counts).tolist(), ends.tolist()) for d in range(1, b - a)]
+        err_t = np.concatenate([np.empty(0), *(t for t, _ in parts)])
+        err_r = np.concatenate([np.empty(0), *(r for _, r in parts)])
+        m = counts * (counts - 1) // 2
+    trans = [math.sqrt(v) for v in _segment_means(err_t * err_t, m)]
+    return trans, _segment_means(err_r, m), err_t, err_r
+
+
+def _check_all_pairs_size(n: int, allow_large: bool = False) -> None:
+    """Raise ValidationError for all-pairs RPE over more than ALL_PAIRS_DEFAULT_CAP
+    associated pairs, unless allow_large is set."""
+    if n > ALL_PAIRS_DEFAULT_CAP and not allow_large:
+        raise ValidationError(
+            f"all-pairs RPE over {n} poses exceeds the cap of "
+            f"{ALL_PAIRS_DEFAULT_CAP}; pass allow_large=True to override"
+        )
+
+
 def rpe(
     gt: Trajectory,
     est: Trajectory,
@@ -142,7 +193,8 @@ def rpe(
     associated pairs, giving m = n - delta error terms. In all-pairs
     mode every interval 1..n-1 contributes (m = n(n-1)/2 terms); n is
     capped at ALL_PAIRS_DEFAULT_CAP unless allow_large is set. Indices
-    run over associated pairs in ground-truth timestamp order.
+    run over associated pairs in ground-truth timestamp order. The
+    result is the one segment of ``rpe_segments``.
     """
     n = len(assoc)
     if n < 2:
@@ -156,25 +208,18 @@ def rpe(
             raise ValidationError(
                 f"delta must satisfy 1 <= delta < {n} (associated pairs), got {delta}"
             )
-        deltas = (delta,)
     else:
-        if n > ALL_PAIRS_DEFAULT_CAP and not allow_large:
-            raise ValidationError(
-                f"all-pairs RPE over {n} poses exceeds the cap of "
-                f"{ALL_PAIRS_DEFAULT_CAP}; pass allow_large=True to override"
-            )
-        delta, deltas = 0, range(1, n)
+        _check_all_pairs_size(n, allow_large)
+        delta = 0
     gi, ei = assoc.gt_indices, assoc.est_indices
     c = quat_mul(gt.q[gi], quat_conj(est.q[ei]))
-    gt_xyz, est_xyz = gt.xyz[gi], est.xyz[ei]
-    parts = [_pair_errors(c, gt_xyz, est_xyz, slice(None, -d), slice(d, None)) for d in deltas]
-    err_t, err_r = (np.concatenate(errors) for errors in zip(*parts))
-
+    (trans,), (rot,), err_t, err_r = rpe_segments(c, gt.xyz[gi], est.xyz[ei], np.array([n]),
+                                                  delta, mode)
     return RpeReport(
         delta=delta,
         mode=mode,
-        trans_rmse=math.sqrt(_mean(err_t * err_t)),
-        rot_mean=_mean(err_r),
+        trans_rmse=trans,
+        rot_mean=rot,
         per_pair_trans=err_t,
         per_pair_rot=err_r,
     )

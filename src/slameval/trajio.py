@@ -98,14 +98,10 @@ class Association:
         )
 
 
-def _is_pose_line(raw: str) -> bool:
-    head = raw.lstrip()
-    return head != "" and head[0] != "#"
-
-
 def _line_numbers(lines: list[str]) -> list[int]:
-    """The 1-based line number of each pose line, for error messages."""
-    return [line_no for line_no, raw in enumerate(lines, start=1) if _is_pose_line(raw)]
+    """The 1-based line number of each pose line (by parse_tum's rule), for error messages."""
+    numbered = enumerate(lines, start=1)
+    return [no for no, raw in numbered if (head := raw.lstrip()) and head[0] != "#"]
 
 
 def _loadtxt(pose_lines: list[str]) -> np.ndarray | None:
@@ -135,7 +131,8 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     if isinstance(source, str):
         source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     lines = list(source)
-    pose_lines = list(filter(_is_pose_line, lines))
+    # a pose line holds something other than blanks and does not start with '#'
+    pose_lines = [raw for raw in lines if (head := raw.lstrip()) and head[0] != "#"]
     data = _loadtxt(pose_lines)
 
     # (message, line_no) of the earliest defect; each check sees only the rows before it
@@ -272,15 +269,38 @@ def associate(
         raise ValidationError("association requires timestamps on every pose of both trajectories")
     if not max_time_diff >= 0:  # NaN too
         raise ValidationError(f"max_time_diff must be non-negative, got {max_time_diff!r}")
+    gi, ej = _match_windows(ts_gt, ts_est, *_time_windows(ts_gt, ts_est, max_time_diff),
+                           max_time_diff)
+    if not len(gi):
+        raise EmptyAssociationError(
+            f"no timestamp pairs within {max_time_diff} s between "
+            f"{gt.traj_id or 'gt'} and {est.traj_id or 'est'}"
+        )
+    return Association.from_indices(gi, ej, max_time_diff)
 
-    # Candidates: for each gt stamp, the est window within the tolerance, flattened.
+
+def _time_windows(ts_gt: np.ndarray, ts_est: np.ndarray, max_time_diff: float):
+    """For each gt stamp, the first est index within max_time_diff and the count of
+    est stamps there: the candidate pairs of ``associate``. Raises ValidationError
+    for more than 32 (n_gt + n_est) candidates, before any is built."""
     lo = np.searchsorted(ts_est, ts_gt - max_time_diff, side="left")
-    hi = np.searchsorted(ts_est, ts_gt + max_time_diff, side="right")
-    counts = hi - lo
+    counts = np.searchsorted(ts_est, ts_gt + max_time_diff, side="right") - lo
     total, cap = int(counts.sum()), 32 * (len(ts_gt) + len(ts_est))
     if total > cap:
         raise ValidationError(f"max_time_diff {max_time_diff!r} s leaves {total} candidate "
                               f"pairs, more than 32 per pose ({cap})")
+    return lo, counts
+
+
+def _match_windows(ts_gt, ts_est, lo, counts, max_time_diff: float):
+    """The accepted (gt index, est index) pairs of ``associate``, in gt order, over the
+    candidate windows (lo, counts) that ``_time_windows`` gives for each gt stamp.
+
+    Several runs can be matched in one call: concatenate their stamps and windows,
+    each run's indices offset past the previous runs' (a ground truth shared by
+    runs is repeated, once per run). Greedy selection never lets a candidate claim
+    an index of another run, so each run gets the pairs it gets alone.
+    """
     gi = np.repeat(np.arange(len(ts_gt)), counts)
     ej = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(gi))
     dt = np.abs(ts_gt[gi] - ts_est[ej])
@@ -298,14 +318,8 @@ def associate(
         used_gt.add(i)
         used_est.add(j)
         accepted[k] = True
-
-    if not accepted.any():
-        raise EmptyAssociationError(
-            f"no timestamp pairs within {max_time_diff} s between "
-            f"{gt.traj_id or 'gt'} and {est.traj_id or 'est'}"
-        )
     # candidates run in gt order, and each gt index is accepted at most once
-    return Association.from_indices(gi[accepted], ej[accepted], max_time_diff)
+    return gi[accepted], ej[accepted]
 
 
 def associate_by_index(gt: Trajectory, est: Trajectory) -> Association:

@@ -22,9 +22,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Trajectory, quat_angle, quat_conj, quat_mul
+from .geom3d import Trajectory, _view, quat_angle, quat_conj, quat_mul
 
-__all__ = ["SequenceStats", "sequence_stats", "resample_stride", "cohort_stats"]
+__all__ = [
+    "SequenceStats", "sequence_stats", "segment_stats", "resample_stride", "cohort_stats",
+]
 
 
 @dataclass(frozen=True)
@@ -50,28 +52,34 @@ class SequenceStats:
 
 
 def sequence_stats(t: Trajectory) -> SequenceStats:
-    """Attributes of one trajectory; a single-pose trajectory has zero motion."""
-    n = len(t)
-    ts = t.timestamps()
-    duration = float(ts[-1] - ts[0]) if ts is not None else None
-    if n == 1:
-        return SequenceStats(0.0, 0.0, 1, duration, 0.0)
+    """Attributes of one trajectory; a single-pose trajectory has zero motion.
+    The result is the one segment of ``segment_stats``."""
+    return segment_stats(t.t, t.xyz, t.q, np.array([len(t)]))[0]
 
-    tr = t.translations()
-    steps = np.linalg.norm(np.diff(tr, axis=0), axis=1)
-    path_length = math.fsum(steps.tolist())
 
-    q = t.quaternions()
-    angles = np.atleast_1d(quat_angle(quat_mul(quat_conj(q[:-1]), q[1:])))
-    mean_ang = math.degrees(math.fsum(angles.tolist()) / (n - 1))
-
-    return SequenceStats(
-        mean_vel_per_frame=path_length / (n - 1),
-        mean_ang_vel_per_frame=mean_ang,
-        frame_count=n,
-        duration=duration,
-        path_length=path_length,
-    )
+def segment_stats(t: np.ndarray, xyz: np.ndarray, q: np.ndarray, counts: np.ndarray):
+    """``sequence_stats`` of each segment of counts[k] >= 1 consecutive poses of
+    the pose arrays t, xyz, q, in one pass; a list of SequenceStats."""
+    steps = np.linalg.norm(np.diff(xyz, axis=0), axis=1).tolist()
+    angles = quat_angle(quat_mul(quat_conj(q[:-1]), q[1:])).tolist()
+    ends = np.cumsum(counts).tolist()
+    stats = []
+    # the n - 1 steps of a segment [a, b) are steps[a : b - 1]; steps[b - 1] crosses to the next
+    for b, n in zip(ends, np.asarray(counts).tolist()):
+        a = b - n
+        duration = None if np.isnan(t[a:b]).any() else float(t[b - 1] - t[a])
+        if n == 1:
+            stats.append(SequenceStats(0.0, 0.0, 1, duration, 0.0))
+            continue
+        path_length = math.fsum(steps[a : b - 1])
+        stats.append(SequenceStats(
+            mean_vel_per_frame=path_length / (n - 1),
+            mean_ang_vel_per_frame=math.degrees(math.fsum(angles[a : b - 1]) / (n - 1)),
+            frame_count=n,
+            duration=duration,
+            path_length=path_length,
+        ))
+    return stats
 
 
 def resample_stride(t: Trajectory, stride: int) -> Trajectory:
@@ -86,7 +94,9 @@ def resample_stride(t: Trajectory, stride: int) -> Trajectory:
         raise ValidationError(f"stride must be >= 1, got {stride}")
     if stride == 1:
         return t
-    return t.subset(np.arange(0, len(t), stride))
+    # every s-th row of a valid trajectory is valid: read-only views, not checked copies
+    return _view(Trajectory, t=t.t[::stride], xyz=t.xyz[::stride], q=t.q[::stride],
+                 traj_id=t.traj_id)
 
 
 def cohort_stats(stats: Sequence[SequenceStats]) -> SequenceStats:

@@ -1,16 +1,25 @@
 import concurrent.futures
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from slameval import batch
-from slameval.batch import BatchOptions, load_manifest, run_batch
+from slameval.batch import BatchOptions, associate_run, load_manifest, run_batch
 from slameval.cli import EXIT_BAD_INPUT, main
-from slameval.errors import ValidationError
+from slameval.errors import EmptyAssociationError, SlamEvalError, ValidationError
 from slameval.geom3d import Trajectory
+from slameval.metrics import ate, rpe
 from slameval.report import dump_json, summary_to_dict, write_report_bundle
-from slameval.synth import PerturbationSpec, random_trajectory
+from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate, associate_by_index, load_tum, save_tum
 from slameval.trajstats import resample_stride
 
@@ -190,36 +199,279 @@ def test_batch_parallel_matches_serial(tmp_path):
     )
 
 
+def _count_forks(monkeypatch) -> list:
+    """Record the pid of each child this process forks in the returned list."""
+    forks = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forks
+
+
+def _usable_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
+class _RecordingPool:
+    """A stand-in executor: records its size in `sizes` and runs each submission here."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        result = fn(*args)
+        return SimpleNamespace(result=lambda: result)
+
+
 @pytest.mark.parametrize("n_seq, jobs, pool", [
     (1, 2, None),
     (3, 1, None),
-    (2, 3, (2, 1)),
-    (5, 2, (2, 1)),
-    (9, 2, (2, 2)),
+    (2, 3, [1]),
+    (5, 2, [1]),
+    (9, 2, [1]),
 ])
 def test_batch_pool_is_bounded_by_the_sequence_count(tmp_path, monkeypatch, n_seq, jobs, pool):
-    # a stand-in executor: records (max_workers, chunksize) and maps in this process
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables, chunksize=1):
-            seen.append(chunksize)
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    # min(jobs, sequences) - 1 workers beside this process: forked children or a pool's size
+    _usable_cpus(monkeypatch, 64)
+    forks = _count_forks(monkeypatch)
     manifest = load_manifest(_small_cohort(tmp_path, n_seq=n_seq, runs=1, frames=30))
+    serial = dump_json(summary_to_dict(run_batch(manifest, jobs=1), manifest.options))
     outcome = run_batch(manifest, jobs=jobs)
-    assert seen == ([] if pool is None else list(pool))
+    assert len(forks) == (0 if pool is None else pool[0])
     assert outcome.evaluated_count == n_seq
+
+    monkeypatch.setattr(batch, "_fork_is_safe", lambda: False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    pooled = run_batch(manifest, jobs=jobs)
+    assert _RecordingPool.sizes == ([] if pool is None else pool)
+    assert len(forks) == (0 if pool is None else pool[0])
+    assert dump_json(summary_to_dict(pooled, manifest.options)) == serial
+
+
+@pytest.mark.parametrize("cpus, affinity, forks", [(1, True, 0), (2, True, 1), (3, False, 2)])
+def test_batch_workers_are_bounded_by_the_usable_cpus(tmp_path, monkeypatch, cpus, affinity,
+                                                      forks):
+    if affinity:
+        _usable_cpus(monkeypatch, cpus)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    seen = _count_forks(monkeypatch)
+    manifest = load_manifest(_small_cohort(tmp_path, n_seq=4, runs=1, frames=30))
+    assert run_batch(manifest, jobs=5000).evaluated_count == 4
+    assert len(seen) == forks
+
+
+def test_fork_is_refused_while_another_thread_runs():
+    assert batch._fork_is_safe() == (sys.platform == "linux")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not batch._fork_is_safe()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_batch_pool_path_matches_serial(tmp_path, monkeypatch):
+    # the path taken where fork is unsafe: shares go to spawned processes
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(batch, "_fork_is_safe", lambda: False)
+    forks = _count_forks(monkeypatch)
+    manifest = load_manifest(_mixed_cohort(tmp_path))
+    pooled = run_batch(manifest, jobs=3)
+    assert forks == []
+    serial = run_batch(manifest, jobs=1)
+    options = manifest.options
+    assert dump_json(summary_to_dict(pooled, options)) == dump_json(summary_to_dict(serial, options))
+
+
+def _mixed_cohort(root, **options):
+    """Seven sequences at stride 2 whose runs hit every path of a share's pass:
+    gapped runs, runs with one and with two pairs, an empty association, a
+    tolerance over the candidate bound (by time), a ground truth and an
+    estimate that are missing and an estimate that does not parse."""
+    rng = np.random.default_rng(5)
+    sequences = []
+
+    def add(seq_id, gt, estimates):
+        save_tum(gt, root / f"gt/{seq_id}.txt")
+        paths = []
+        for k, est in enumerate(estimates):
+            path = f"est/{seq_id}_{k}.txt"
+            if isinstance(est, str):
+                (root / path).write_text(est, encoding="utf-8")
+            elif est is not None:
+                save_tum(est, root / path)
+            paths.append(path)
+        sequences.append({"sequence_id": seq_id, "gt_path": f"gt/{seq_id}.txt",
+                          "estimate_paths": paths})
+
+    for i in range(3):
+        gt = random_trajectory(seed=150 + i, n=90 + 7 * i, step_mean=0.006, turn_mean=0.02)
+        runs = [perturb(gt, PerturbationSpec(noise_sigma_trans=0.003, dropout_fraction=0.2,
+                                             seed=160 + 3 * i + k)) for k in range(2)]
+        add(f"gapped_{i}", gt, runs)
+    gt = random_trajectory(seed=170, n=40, step_mean=0.006, turn_mean=0.02)
+    moved = Trajectory.from_arrays(gt.t, gt.xyz + rng.normal(0.0, 0.01, (40, 3)), gt.q)
+    lost = Trajectory.from_arrays(gt.t + 100.0, gt.xyz, gt.q)
+    add("short", gt, [moved.subset([4]), moved.subset([4, 11, 12]), lost, moved])
+    dense = Trajectory.from_arrays(np.arange(100) * 1e-4, gt.xyz[:1].repeat(100, 0),
+                                   gt.q[:1].repeat(100, 0))
+    add("dense", dense, [dense])
+    add("broken", gt, [None, "0 0 0 0 0 0 0 1\n1 0 0\n", moved])
+    sequences.append({"sequence_id": "ghost", "gt_path": "gt/missing.txt",
+                      "estimate_paths": ["est/short_0.txt"]})
+    return write_manifest(root / "manifest.json", sequences, stride=2, **options)
+
+
+@pytest.mark.parametrize("by_index", [False, True])
+def test_batch_numbers_do_not_depend_on_the_shares(tmp_path, monkeypatch, by_index):
+    path = _mixed_cohort(tmp_path, index_identity_association=by_index)
+    manifest = load_manifest(path)
+    _usable_cpus(monkeypatch, 8)
+    forks = _count_forks(monkeypatch)
+    texts = [dump_json(summary_to_dict(run_batch(manifest, jobs=jobs), manifest.options))
+             for jobs in (1, 2, 3)]
+    assert len(forks) == 3
+    # the report's bytes hold every number bit for bit (NaN as null)
+    assert texts[0] == texts[1] == texts[2]
+
+    doc = json.loads(texts[0])
+    failures = {(f["sequence_id"], Path(f["path"]).name): f["error"] for f in doc["failures"]}
+    assert failures[("ghost", "missing.txt")].startswith("[Errno 2]")
+    assert failures[("broken", "broken_0.txt")].startswith("[Errno 2]")
+    assert failures[("broken", "broken_1.txt")] == "line 2: expected 8 fields, got 3"
+    if by_index:
+        assert len(failures) == 3
+    else:
+        assert "more than 32 per pose" in failures[("dense", "dense_0.txt")]
+        assert len(failures) == 4
+    # a sequence's failures keep the order of its estimate paths
+    assert [name for seq, name in failures if seq == "broken"] == ["broken_0.txt", "broken_1.txt"]
+    if not by_index:
+        short = next(s for s in doc["sequences"] if s["sequence_id"] == "short")["runs"]
+        assert short[0]["ate_rmse"] == 0.0 and short[0]["rpe_trans"] is None
+        assert short[1]["tracked_fraction"] == 2 / 20 and short[1]["rpe_trans"] is not None
+        assert short[2]["tracked_fraction"] == 0.0 and short[2]["ate_rmse"] is None
+
+
+def test_batch_runs_score_as_the_pair_commands_do(tmp_path):
+    # one run alone through metrics.ate/rpe gives the bits the batch's pass gives it
+    manifest = load_manifest(_mixed_cohort(tmp_path))
+    outcome = run_batch(manifest)
+    options = manifest.options
+    checked = 0
+    for entry, result in ((e, r) for e in manifest.entries for r in outcome.summary.results
+                          if r.sequence_id == e.sequence_id):
+        gt = load_tum(entry.gt_path)
+        records = iter(result.runs)
+        for est_path in entry.estimate_paths:
+            try:
+                est = load_tum(est_path)
+            except (OSError, SlamEvalError):
+                continue
+            record = next(records)
+            try:
+                assoc = associate_run(gt, est, options.max_time_diff, False).strided(2)
+            except EmptyAssociationError:
+                assert record.tracked_fraction == 0.0
+                continue
+            if len(assoc) >= 2:
+                strided = resample_stride(gt, 2)
+                assert record.ate_rmse == ate(strided, est, assoc).rmse
+                report = rpe(strided, est, assoc)
+                assert (record.rpe_trans, record.rpe_rot) == (report.trans_rmse, report.rot_mean)
+                checked += 1
+        assert next(records, None) is None
+    assert checked == 9
+
+
+def _cohort_of_three(tmp_path, monkeypatch):
+    _usable_cpus(monkeypatch, 8)
+    return load_manifest(_small_cohort(tmp_path, n_seq=3, runs=1, frames=30))
+
+
+def _all_reaped(pids: list) -> bool:
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the fork path runs on Linux")
+@pytest.mark.parametrize("share", [0, 1])
+def test_a_share_that_raises_is_raised_after_every_child_is_reaped(tmp_path, monkeypatch, share):
+    # share k of three is sequence k, and share 0 is this process's own
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+    load = batch.load_tum
+
+    def failing_load(path):
+        if path == manifest.entries[share].gt_path:
+            raise ZeroDivisionError(f"boom in share {share}")
+        return load(path)
+
+    monkeypatch.setattr(batch, "load_tum", failing_load)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ZeroDivisionError, match=f"^boom in share {share}$") as info:
+        run_batch(manifest, jobs=3)
+    assert len(forks) == 2 and _all_reaped(forks)
+    if share:
+        assert "in batch worker" in str(info.value.__cause__)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the fork path runs on Linux")
+@pytest.mark.parametrize("how, ended", [("exit", "exit status 3"), ("signal", "signal 9")])
+def test_a_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, how, ended):
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+    parent = os.getpid()
+    load = batch.load_tum
+
+    def dying_load(path):
+        if os.getpid() != parent:
+            if how == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return load(path)
+
+    monkeypatch.setattr(batch, "load_tum", dying_load)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ChildProcessError, match=f"ended by {ended} without sending its result"):
+        run_batch(manifest, jobs=3)
+    assert len(forks) == 2 and _all_reaped(forks)
+
+
+def test_forked_workers_do_not_write_the_parents_buffered_output(tmp_path):
+    path = _small_cohort(tmp_path, n_seq=3, runs=1, frames=30)
+    code = ("import os, sys\n"
+            "os.sched_getaffinity = lambda pid: set(range(4))\n"
+            "from slameval.batch import load_manifest, run_batch\n"
+            "sys.stdout.write('written once')\n"
+            "print(run_batch(load_manifest(sys.argv[1]), jobs=3).evaluated_count, file=sys.stderr)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(batch.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "written once", "3\n")
 
 
 def test_batch_stride_option(tmp_path):
@@ -245,15 +497,18 @@ def test_stride_keeps_estimates_with_gaps_in_phase(tmp_path, monkeypatch, stride
     path.write_text(json.dumps(doc))
 
     seen = []
-    ate = batch.ate
-    monkeypatch.setattr(batch, "ate", lambda g, e, a: seen.append(a) or ate(g, e, a))
+    share_pairs = batch._share_pairs
+    monkeypatch.setattr(batch, "_share_pairs",
+                        lambda runs, options: seen.append(share_pairs(runs, options)) or seen[-1])
     outcome = run_batch(load_manifest(path))
 
     gt = load_tum(tmp_path / "gt/gap.txt")
     est = load_tum(tmp_path / "est/gap_run0.txt")
     full = associate_by_index(gt, est) if by_index else associate(gt, est, 0.02)
     kept = {(i // stride, j) for i, j in full.pairs if i % stride == 0}
-    assert set(seen[0].pairs) == kept
+    ((run, gt_indices, est_indices, failed),) = seen
+    assert list(zip(gt_indices.tolist(), est_indices.tolist())) == sorted(kept)
+    assert not run.any() and failed == {}
     tracked = outcome.summary.results[0].median_record.tracked_fraction
     assert tracked == len(kept) / len(resample_stride(gt, stride))
     if not by_index:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from slameval.align import horn_align
+from slameval.align import horn_align, horn_align_segments
 from slameval.errors import EmptyAssociationError, ValidationError
 from slameval.geom3d import (
     Pose,
@@ -11,11 +11,13 @@ from slameval.geom3d import (
     Trajectory,
     angle_of,
     compose,
+    quat_conj,
+    quat_mul,
     relative,
     rot,
     trans,
 )
-from slameval.metrics import RPE_MODE_ALL_PAIRS, ate, rpe
+from slameval.metrics import RPE_MODE_ALL_PAIRS, ate, rpe, rpe_segments
 from slameval.trajio import Association, associate_by_index
 
 from conftest import (
@@ -226,3 +228,40 @@ def test_unknown_mode_rejected():
     gt = static_identity_trajectory(5)
     with pytest.raises(ValidationError):
         rpe(gt, gt, associate_by_index(gt, gt), mode="whatever")
+
+
+# ---------------------------------------------------------------------------
+# Segment kernels
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode, delta", [(RPE_MODE_ALL_PAIRS, 0), ("fixed-delta", 1),
+                                         ("fixed-delta", 3)])
+def test_segment_kernels_give_each_segment_its_one_segment_bits(mode, delta):
+    # segments of 1, 2, 3 and more rows, scored together and one by one
+    rng = np.random.default_rng(60)
+    counts = np.array([5, 1, 2, 40, 3, 17, 1])
+    gt = random_pose_trajectory(rng, counts.sum(), trans_scale=1e3)
+    est = random_pose_trajectory(rng, counts.sum())
+    ends = np.cumsum(counts)
+    rot_m, t, residuals, rmse = horn_align_segments(gt.xyz, est.xyz, counts)
+    c = quat_mul(gt.q, quat_conj(est.q))
+    trans, rot_mean, err_t, err_r = rpe_segments(c, gt.xyz, est.xyz, counts, delta, mode)
+    pair_lo = 0
+    for k, (a, b) in enumerate(zip(ends - counts, ends)):
+        alone = horn_align(gt.xyz[a:b], est.xyz[a:b])
+        assert np.array_equal(alone.rotation_matrix, rot_m[k])
+        assert np.array_equal(alone.translation, t[k])
+        assert np.array_equal(alone.residuals, residuals[a:b]) and alone.rmse_after == rmse[k]
+        n = b - a
+        if n < 2 or delta >= n:
+            assert math.isnan(trans[k]) and math.isnan(rot_mean[k])
+            continue
+        idx = np.arange(n)
+        report = rpe(gt.subset(range(a, b)), est.subset(range(a, b)),
+                     Association.from_indices(idx, idx, math.inf), delta, mode)
+        pair_hi = pair_lo + len(report.per_pair_trans)
+        assert np.array_equal(report.per_pair_trans, err_t[pair_lo:pair_hi])
+        assert np.array_equal(report.per_pair_rot, err_r[pair_lo:pair_hi])
+        assert (report.trans_rmse, report.rot_mean) == (trans[k], rot_mean[k])
+        pair_lo = pair_hi
+    assert pair_lo == len(err_t)

@@ -6,7 +6,8 @@ import pytest
 from slameval.errors import ValidationError
 from slameval.geom3d import Pose, Rotation, Trajectory, compose
 from slameval.synth import random_trajectory
-from slameval.trajstats import SequenceStats, cohort_stats, resample_stride, sequence_stats
+from slameval.trajstats import (SequenceStats, cohort_stats, resample_stride, segment_stats,
+                                sequence_stats)
 
 from conftest import random_pose, rotz
 
@@ -88,6 +89,26 @@ def test_stride_scaling_on_smooth_trajectory():
     for s in (2, 3, 4):
         vs = sequence_stats(resample_stride(t, s)).mean_vel_per_frame
         assert abs(vs / v1 - s) <= 0.02 * s
+
+
+def test_stride_returns_read_only_views():
+    t = random_trajectory(seed=44, n=50, step_mean=0.01, turn_mean=0.03)
+    out = resample_stride(t, 3)
+    assert out == t.subset(range(0, 50, 3))
+    for name in ("t", "xyz", "q"):
+        view, whole = getattr(out, name), getattr(t, name)
+        assert np.shares_memory(view, whole) and not view.flags.writeable
+
+
+def test_segment_stats_give_each_segment_its_own_stats():
+    lengths = [1, 2, 30, 1, 7]
+    trajectories = [random_trajectory(seed=50 + k, n=n + 1, step_mean=0.01, turn_mean=0.03)
+                    .subset(range(n)) for k, n in enumerate(lengths)]
+    trajectories[3] = Trajectory((Pose.identity(),))  # unstamped: no duration
+    stats = segment_stats(*(np.concatenate([getattr(t, name) for t in trajectories])
+                            for name in ("t", "xyz", "q")), np.array(lengths))
+    assert stats == [sequence_stats(t) for t in trajectories]
+    assert stats[3].duration is None and stats[0] == SequenceStats(0.0, 0.0, 1, 0.0, 0.0)
 
 
 def test_stride_composition():
