@@ -253,13 +253,22 @@ def _share_pairs(runs: list[tuple[Trajectory, Trajectory]], options: BatchOption
     return run[keep], gi[keep] // options.stride, ej[keep], failed
 
 
-def _score_runs(gts: list[Trajectory], runs: list[tuple[Trajectory, Trajectory]],
-                run_seq: list[int], options: BatchOptions) -> list[MetricRecord | str]:
-    """Each run's metrics, or the message of the error that failed it, in one pass.
+def _stack(trajectories: list[Trajectory], name: str) -> np.ndarray:
+    return np.concatenate([getattr(t, name) for t in trajectories])
 
-    runs[r] is (gt, est) with gts[run_seq[r]] its ground truth at the
-    stride. One ATE pass and one RPE pass score every run that has pairs;
-    a run without pairs is a tracking failure with NaN metrics.
+
+def _starts(trajectories: list[Trajectory]) -> np.ndarray:
+    """The row of each trajectory's first pose in their concatenation."""
+    lengths = np.array([len(t) for t in trajectories])
+    return np.cumsum(lengths) - lengths
+
+
+def _score_runs(runs: list[tuple[Trajectory, Trajectory]],
+                options: BatchOptions) -> list[MetricRecord | str]:
+    """Each run's metrics, or the message of the error that failed it.
+
+    One ATE pass and one RPE pass score every run (gt, est) that has
+    pairs; a run without pairs is a tracking failure with NaN metrics.
     """
     records: list[MetricRecord | str] = [_failed_record()] * len(runs)
     run, gi, ej, failed = _share_pairs(runs, options)
@@ -277,23 +286,20 @@ def _score_runs(gts: list[Trajectory], runs: list[tuple[Trajectory, Trajectory]]
     for r, error in failed.items():
         records[r] = error
     scored = np.flatnonzero(counts)
-    n = counts[scored]
-    if not len(n):
+    if not len(scored):
         return records
 
-    # each pair's rows in the concatenated ground truths and estimates
-    gt_len = np.array([len(gt) for gt in gts])
-    est_len = np.array([len(est) for _, est in runs])
-    rows_gt = (np.cumsum(gt_len) - gt_len)[np.array(run_seq)[run]] + gi
-    rows_est = (np.cumsum(est_len) - est_len)[run] + ej
-    gt_xyz = np.concatenate([gt.xyz for gt in gts])[rows_gt]
-    est_xyz = np.concatenate([est.xyz for _, est in runs])[rows_est]
-    c = quat_mul(np.concatenate([gt.q for gt in gts])[rows_gt],
-                 quat_conj(np.concatenate([est.q for _, est in runs])[rows_est]))
+    gts, ests = [gt for gt, _ in runs], [est for _, est in runs]
+    rows_gt = _starts(gts)[run] + gi * options.stride
+    rows_est = _starts(ests)[run] + ej
+    gt_xyz, est_xyz = _stack(gts, "xyz")[rows_gt], _stack(ests, "xyz")[rows_est]
+    c = quat_mul(_stack(gts, "q")[rows_gt], quat_conj(_stack(ests, "q")[rows_est]))
+    n = counts[scored]
     ate_rmse = horn_align_segments(gt_xyz, est_xyz, n)[3]
     rpe_t, rpe_r, _, _ = rpe_segments(c, gt_xyz, est_xyz, n, options.rpe_delta, options.rpe_mode)
     for r, k, a, t, rot in zip(scored.tolist(), n.tolist(), ate_rmse, rpe_t, rpe_r):
-        records[r] = MetricRecord(a, t, rot, k / len(gts[run_seq[r]]))
+        strided_len = len(range(0, len(gts[r]), options.stride))
+        records[r] = MetricRecord(a, t, rot, k / strided_len)
     return records
 
 
@@ -314,28 +320,18 @@ def _read_entry(entry: SequenceEntry):
 
 
 def _evaluate_block(block: list, options: BatchOptions) -> list:
-    """The results of entries read by ``_read_entry``: one pass over the strided
-    ground truths, and ``_score_runs`` over all their runs at once."""
-    gts: list[Trajectory] = []  # the ground truths read, at the stride
-    runs: list[tuple[Trajectory, Trajectory]] = []
-    run_seq: list[int] = []
-    for _, gt, items in block:
-        if gt is not None:
-            gts.append(resample_stride(gt, options.stride))
-            for item in items:
-                if not isinstance(item, Failure):
-                    runs.append((gt, item[1]))
-                    run_seq.append(len(gts) - 1)
-    stats, records = [], []
-    if gts:
-        stats = segment_stats(*(np.concatenate([getattr(gt, name) for gt in gts])
-                                for name in ("t", "xyz", "q")), np.array([len(gt) for gt in gts]))
-    if runs:
-        records = iter(_score_runs(gts, runs, run_seq, options))
+    """The results of entries read by ``_read_entry``: one ``segment_stats`` pass
+    over the strided ground truths and ``_score_runs`` over all the runs."""
+    gts = [resample_stride(gt, options.stride) for _, gt, _ in block if gt is not None]
+    runs = [(gt, item[1]) for _, gt, items in block for item in items
+            if not isinstance(item, Failure)]
+    stats = iter(segment_stats(*(_stack(gts, name) for name in ("t", "xyz", "q")),
+                               np.array([len(gt) for gt in gts])) if gts else ())
+    records = iter(_score_runs(runs, options) if runs else ())
 
     evaluated = []
-    seq = -1
     for entry, gt, items in block:
+        gt_stats = None if gt is None else next(stats)
         failures: list[Failure] = []
         done: list[MetricRecord] = []
         for item in items:
@@ -343,9 +339,7 @@ def _evaluate_block(block: list, options: BatchOptions) -> list:
             if isinstance(record, str):
                 record = Failure(entry.sequence_id, item[0], record)
             (failures if isinstance(record, Failure) else done).append(record)
-        if gt is not None:
-            seq += 1
-        result = SequenceResult.from_runs(entry.sequence_id, done, stats[seq]) if done else None
+        result = SequenceResult.from_runs(entry.sequence_id, done, gt_stats) if done else None
         evaluated.append((result, failures))
     return evaluated
 

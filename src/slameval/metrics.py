@@ -137,13 +137,18 @@ def _segment_means(values: np.ndarray, counts) -> list[float]:
             for b, m in zip(ends, np.asarray(counts).tolist())]
 
 
-def _fixed_delta_pairs(counts: np.ndarray, delta: int) -> tuple[np.ndarray, np.ndarray]:
+def _fixed_delta_pairs(counts: np.ndarray, delta: int):
     """The pairs (i, i + delta) inside each segment of counts[k] consecutive rows:
-    the first index i of every pair, in row order, and the pair count of each segment."""
+    selectors of every pair's rows i and i + delta, in row order, and the pair
+    count of each segment. A single segment's are slices, which select the same
+    rows as index arrays without copying them."""
     m = np.maximum(counts - delta, 0)
+    if len(counts) == 1:
+        return slice(0, int(m[0])), slice(delta, delta + int(m[0])), m
     # a segment's first row minus the place of its first pair in the list
     shift = (np.cumsum(counts) - counts) - (np.cumsum(m) - m)
-    return np.arange(m.sum()) + np.repeat(shift, m), m
+    i = np.arange(m.sum()) + np.repeat(shift, m)
+    return i, i + delta, m
 
 
 def rpe_segments(c, gt_xyz, est_xyz, counts: np.ndarray, delta: int, mode: str):
@@ -156,8 +161,8 @@ def rpe_segments(c, gt_xyz, est_xyz, counts: np.ndarray, delta: int, mode: str):
     pairs, O(n^2) per segment, goes delta by delta within each segment.
     """
     if mode == RPE_MODE_FIXED:
-        i, m = _fixed_delta_pairs(counts, delta)
-        err_t, err_r = _pair_errors(c, gt_xyz, est_xyz, i, i + delta)
+        i, j, m = _fixed_delta_pairs(counts, delta)
+        err_t, err_r = _pair_errors(c, gt_xyz, est_xyz, i, j)
     else:
         ends = np.cumsum(counts)
         parts = [_pair_errors(c[a:b], gt_xyz[a:b], est_xyz[a:b], slice(None, -d), slice(d, None))
