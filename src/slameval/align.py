@@ -99,12 +99,6 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     return AlignmentResult(rot_m[0], t[0], residuals, rmse, n)
 
 
-def _per_row(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-segment values (..., k) repeated along the last axis for each row of
-    the segment; a single segment's broadcast instead, which multiplies the same."""
-    return values if len(counts) == 1 else np.repeat(values, counts, axis=-1)
-
-
 def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     """``horn_align`` of each segment of the point arrays q, p (n, 3) in one pass.
 
@@ -118,7 +112,8 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
     p_mean = np.add.reduceat(p, starts, axis=1) / counts
     q_mean = np.add.reduceat(q, starts, axis=1) / counts
-    pc, qc = p - _per_row(p_mean, counts), q - _per_row(q_mean, counts)
+    pc = p - np.repeat(p_mean, counts, axis=1)
+    qc = q - np.repeat(q_mean, counts, axis=1)
     # the cross-covariance sum (p_i - p_mean)(q_i - q_mean)^T of each segment
     h = np.add.reduceat(pc[:, None] * qc[None], starts, axis=2)
     u, _, vt = np.linalg.svd(h.transpose(2, 0, 1))
@@ -131,7 +126,7 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
 
     t = q_mean.T - np.einsum("kij,jk->ki", rot_m, p_mean)
     # R (p_i - p_mean) - (q_i - q_mean) = R p_i + t - q_i, with R of the row's segment
-    r = _per_row(rot_m.transpose(1, 2, 0), counts)
+    r = np.repeat(rot_m.transpose(1, 2, 0), counts, axis=2)
     residuals = r[:, 0] * pc[0] + r[:, 1] * pc[1] + r[:, 2] * pc[2] - qc
     sq = np.add.reduce(residuals * residuals, axis=0)
     sq_list = sq.tolist()

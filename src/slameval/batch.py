@@ -423,7 +423,7 @@ def _forked_shares(shares: list, options: BatchOptions) -> list:
 
     Every child is reaped before this returns or raises. The first error,
     this process's own first, is raised: a share's exception with its type
-    and message, or ChildProcessError for a child that sent no result.
+    and message, or ChildProcessError for a child that sent no whole result.
     """
     import pickle
 
@@ -453,12 +453,13 @@ def _forked_shares(shares: list, options: BatchOptions) -> list:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         if errors:
             continue
-        if not data:
+        try:
+            message = pickle.loads(data)
+        except Exception:  # nothing or a part sent: the child died before it was done
             ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
             errors.append(ChildProcessError(f"batch worker {pid} ended by {ended} "
                                             f"without sending its result"))
             continue
-        message = pickle.loads(data)
         if message[0]:
             results.append(message[1])
         else:
@@ -497,7 +498,7 @@ def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     options = manifest.options
     entries = manifest.entries
 
-    workers = min(jobs, len(entries), _usable_cpus())
+    workers = max(1, min(jobs, len(entries), _usable_cpus()))
     shares = [entries[k::workers] for k in range(workers)]
     if workers == 1:
         done = [_evaluate_share(entries, options)]

@@ -139,12 +139,9 @@ def _segment_means(values: np.ndarray, counts) -> list[float]:
 
 def _fixed_delta_pairs(counts: np.ndarray, delta: int):
     """The pairs (i, i + delta) inside each segment of counts[k] consecutive rows:
-    selectors of every pair's rows i and i + delta, in row order, and the pair
-    count of each segment. A single segment's are slices, which select the same
-    rows as index arrays without copying them."""
+    the rows i and i + delta of every pair, in row order, and the pair count
+    of each segment."""
     m = np.maximum(counts - delta, 0)
-    if len(counts) == 1:
-        return slice(0, int(m[0])), slice(delta, delta + int(m[0])), m
     # a segment's first row minus the place of its first pair in the list
     shift = (np.cumsum(counts) - counts) - (np.cumsum(m) - m)
     i = np.arange(m.sum()) + np.repeat(shift, m)

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import math
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -463,6 +464,28 @@ def test_a_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, h
     with pytest.raises(ChildProcessError, match=f"ended by {ended} without sending its result"):
         run_batch(manifest, jobs=3)
     assert len(forks) == 2 and _all_reaped(forks)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the fork path runs on Linux")
+def test_a_child_that_dies_while_sending_is_an_error(tmp_path, monkeypatch):
+    # each child sends half of a result larger than a pipe holds, then exits
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+
+    def half_send(fd, share, options):
+        data = pickle.dumps((True, batch._evaluate_share(share, options), bytes(1 << 18)))
+        os.write(fd, data[: len(data) // 2])
+        os._exit(4)
+
+    monkeypatch.setattr(batch, "_send_share", half_send)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(ChildProcessError, match="ended by exit status 4 without sending its"):
+        run_batch(manifest, jobs=3)
+    assert len(forks) == 2 and _all_reaped(forks)
+
+
+def test_a_manifest_without_entries_evaluates_nothing():
+    empty = batch.RunManifest((), BatchOptions())
+    assert run_batch(empty, jobs=3) == batch.BatchOutcome(None, (), 0)
 
 
 def test_forked_workers_do_not_write_the_parents_buffered_output(tmp_path):
