@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Pose, Rotation
+from .geom3d import Pose, Rotation, _fsum_mean
 
 __all__ = ["AlignmentResult", "horn_align", "horn_align_segments"]
 
@@ -99,13 +99,15 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     return AlignmentResult(rot_m[0], t[0], residuals, rmse, n)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     """``horn_align`` of each segment of the point arrays q, p (n, 3) in one pass.
 
     Segment k is the next counts[k] >= 1 rows. Returns the rotation
     matrices (k, 3, 3), the translations (k, 3), the residual norm of
     every row (n,) and the RMSE of each segment as a list. A segment's
-    values do not depend on the segments beside it.
+    values do not depend on the segments beside it. Values that overflow
+    become inf or NaN without a warning.
     """
     starts = np.cumsum(counts) - counts
     # coordinate-major (3, n): each sum over a segment runs along contiguous memory
@@ -114,8 +116,10 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     q_mean = np.add.reduceat(q, starts, axis=1) / counts
     pc = p - np.repeat(p_mean, counts, axis=1)
     qc = q - np.repeat(q_mean, counts, axis=1)
-    # the cross-covariance sum (p_i - p_mean)(q_i - q_mean)^T of each segment
+    # the cross-covariance sum (p_i - p_mean)(q_i - q_mean)^T of each segment; one that
+    # overflows (beyond about 1e154 m) is zeroed: R = I, and the residuals carry the overflow
     h = np.add.reduceat(pc[:, None] * qc[None], starts, axis=2)
+    h[:, :, ~np.isfinite(h).all(axis=(0, 1))] = 0.0
     u, _, vt = np.linalg.svd(h.transpose(2, 0, 1))
     vt[:, 2] *= np.sign(np.linalg.det(u @ vt))[:, None]  # diag(1, 1, det(V U^T))
     rot_m = vt.transpose(0, 2, 1) @ u.transpose(0, 2, 1)
@@ -130,6 +134,6 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     residuals = r[:, 0] * pc[0] + r[:, 1] * pc[1] + r[:, 2] * pc[2] - qc
     sq = np.add.reduce(residuals * residuals, axis=0)
     sq_list = sq.tolist()
-    rmse = [math.sqrt(math.fsum(sq_list[a : a + n]) / n)
+    rmse = [math.sqrt(_fsum_mean(sq_list[a : a + n]))
             for a, n in zip(starts.tolist(), counts.tolist())]
     return rot_m, t, np.sqrt(sq), rmse

@@ -57,10 +57,10 @@ from .align import horn_align_segments
 from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, MetricRecord,
                      SequenceResult, summarize)
 from .errors import SlamEvalError, ValidationError
-from .geom3d import Trajectory, quat_conj, quat_mul
+from .geom3d import Trajectory
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _check_all_pairs_size, rpe_segments
-from .trajio import (DEFAULT_MAX_TIME_DIFF, _match_windows, _time_windows, associate,
-                     associate_by_index, load_tum)
+from .trajio import (DEFAULT_MAX_TIME_DIFF, associate, associate_by_index, associate_runs,
+                     load_tum)
 from .trajstats import resample_stride, segment_stats
 
 # per-run layers that perfbench/tracer.py wraps at these names; batches score whole shares
@@ -97,6 +97,9 @@ class BatchOptions:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+            # the array pass takes both as int64
+            if not 1 <= value <= sys.maxsize:
+                raise ValidationError(f"{name} must lie in [1, {sys.maxsize}]")
         for name in ("max_time_diff", "min_tracked", "gap_ratio_min"):
             value = getattr(self, name)
             # exact comparison also rejects a JSON integer beyond the float range
@@ -113,10 +116,6 @@ class BatchOptions:
             )
         if self.rpe_mode not in (RPE_MODE_FIXED, RPE_MODE_ALL_PAIRS):
             raise ValidationError(f"unknown rpe_mode {self.rpe_mode!r}")
-        if self.rpe_delta < 1:
-            raise ValidationError("rpe_delta must be >= 1")
-        if self.stride < 1:
-            raise ValidationError("stride must be >= 1")
         if self.max_time_diff < 0:
             raise ValidationError("max_time_diff must be >= 0")
 
@@ -208,47 +207,17 @@ def associate_run(gt: Trajectory, est: Trajectory, max_time_diff: float, by_inde
     return associate_by_index(gt, est) if by_index else associate(gt, est, max_time_diff)
 
 
-def _failed_record() -> MetricRecord:
-    return MetricRecord(math.nan, math.nan, math.nan, 0.0)
-
-
 def _share_pairs(runs: list[tuple[Trajectory, Trajectory]], options: BatchOptions):
-    """The pose pairs of all runs (gt, est) at once, at the evaluated stride.
+    """The pose pairs of ``associate_runs`` over all runs (gt, est), at the evaluated stride.
 
-    Returns, for each pair in run order and then gt order, its run, its gt
-    index into the gt resampled at the stride and its est index; plus the
-    error message of each run whose tolerance leaves too many candidates.
     Each run is associated whole; at stride s the pairs on every s-th gt
-    pose are kept, so a dropped estimate frame cannot shift the estimate
-    out of phase with the stride. Every run gets exactly the pairs that
+    pose are kept, their gt index into the gt resampled at stride s, so a
+    dropped estimate frame cannot shift the estimate out of phase with the
+    stride. Every run gets exactly the pairs that
     ``associate_run(gt, est, ...).strided(s)`` gives it alone.
     """
-    failed: dict[int, str] = {}
-    n_gt = np.array([len(gt) for gt, _ in runs])
-    if options.index_identity_association:
-        m = np.minimum(n_gt, [len(est) for _, est in runs])
-        run = np.repeat(np.arange(len(runs)), m)
-        gi = ej = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-    else:
-        # one matching over every run's candidates, each run's indices offset past the
-        # previous runs' (a ground truth shared by runs is repeated once per run)
-        tol = options.max_time_diff
-        n_est = np.array([len(est) for _, est in runs])
-        gt_start, est_start = np.cumsum(n_gt) - n_gt, np.cumsum(n_est) - n_est
-        lo, counts = [], []
-        for r, (gt, est) in enumerate(runs):
-            try:
-                window_lo, window_counts = _time_windows(gt.t, est.t, tol)
-            except ValidationError as exc:
-                failed[r] = str(exc)
-                window_lo = window_counts = np.zeros(len(gt), dtype=int)
-            lo.append(window_lo + est_start[r])
-            counts.append(window_counts)
-        gi, ej = _match_windows(np.concatenate([gt.t for gt, _ in runs]),
-                                np.concatenate([est.t for _, est in runs]),
-                                np.concatenate(lo), np.concatenate(counts), tol)
-        run = np.searchsorted(gt_start, gi, side="right") - 1
-        gi, ej = gi - gt_start[run], ej - est_start[run]
+    run, gi, ej, failed = associate_runs(runs, options.max_time_diff,
+                                         options.index_identity_association)
     keep = gi % options.stride == 0
     return run[keep], gi[keep] // options.stride, ej[keep], failed
 
@@ -270,7 +239,8 @@ def _score_runs(runs: list[tuple[Trajectory, Trajectory]],
     One ATE pass and one RPE pass score every run (gt, est) that has
     pairs; a run without pairs is a tracking failure with NaN metrics.
     """
-    records: list[MetricRecord | str] = [_failed_record()] * len(runs)
+    failed_record = MetricRecord(math.nan, math.nan, math.nan, 0.0)
+    records: list[MetricRecord | str] = [failed_record] * len(runs)
     run, gi, ej, failed = _share_pairs(runs, options)
     counts = np.bincount(run, minlength=len(runs))
     if options.rpe_mode == RPE_MODE_ALL_PAIRS:
@@ -293,10 +263,10 @@ def _score_runs(runs: list[tuple[Trajectory, Trajectory]],
     rows_gt = _starts(gts)[run] + gi * options.stride
     rows_est = _starts(ests)[run] + ej
     gt_xyz, est_xyz = _stack(gts, "xyz")[rows_gt], _stack(ests, "xyz")[rows_est]
-    c = quat_mul(_stack(gts, "q")[rows_gt], quat_conj(_stack(ests, "q")[rows_est]))
     n = counts[scored]
     ate_rmse = horn_align_segments(gt_xyz, est_xyz, n)[3]
-    rpe_t, rpe_r, _, _ = rpe_segments(c, gt_xyz, est_xyz, n, options.rpe_delta, options.rpe_mode)
+    rpe_t, rpe_r, _, _ = rpe_segments(_stack(gts, "q")[rows_gt], _stack(ests, "q")[rows_est],
+                                      gt_xyz, est_xyz, n, options.rpe_delta, options.rpe_mode)
     for r, k, a, t, rot in zip(scored.tolist(), n.tolist(), ate_rmse, rpe_t, rpe_r):
         strided_len = len(range(0, len(gts[r]), options.stride))
         records[r] = MetricRecord(a, t, rot, k / strided_len)
@@ -500,12 +470,9 @@ def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
 
     workers = max(1, min(jobs, len(entries), _usable_cpus()))
     shares = [entries[k::workers] for k in range(workers)]
-    if workers == 1:
-        done = [_evaluate_share(entries, options)]
-    elif _fork_is_safe():
-        done = _forked_shares(shares, options)
-    else:
-        done = _pooled_shares(shares, options)
+    # one share forks nothing: this process evaluates it on every platform
+    fan_out = _forked_shares if workers == 1 or _fork_is_safe() else _pooled_shares
+    done = fan_out(shares, options)
     evaluated: list = [None] * len(entries)
     for k, share_results in enumerate(done):
         evaluated[k::workers] = share_results

@@ -275,7 +275,7 @@ def summarize(
     attributes = np.array(
         [[getattr(r.stats, a) for a in ATTRIBUTE_FIELDS] for r in results], dtype=float
     )
-    finite = ~np.isnan(medians)
+    finite = np.isfinite(medians)
     excluded = tuple(r.sequence_id for r, ok in zip(results, finite.any(axis=1)) if not ok)
 
     cdf_tables: dict[str, tuple[tuple[float, float], ...]] = {}

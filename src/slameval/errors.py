@@ -17,7 +17,12 @@ class ParseError(ValidationError):
 
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
+        self.message = message
         self.line_no = line_no
+
+    def __reduce__(self):
+        # args hold only the formatted text; rebuild from what __init__ takes
+        return type(self), (self.message, self.line_no)
 
 
 class EmptyAssociationError(ValidationError):

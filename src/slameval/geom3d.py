@@ -217,6 +217,15 @@ def quat_from_axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
 # Value types
 # ---------------------------------------------------------------------------
 
+def _fsum_mean(values: list[float]) -> float:
+    """The mean of a non-empty list by exact summation (math.fsum); when only the
+    sum is beyond the float range, the mean of the values divided by their count."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        return math.fsum(v / len(values) for v in values)
+
+
 def _locked(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)

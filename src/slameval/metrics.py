@@ -20,6 +20,8 @@ With the per-frame offsets c_i = q_i conj(p_i) of the gt and est
 rotations, a pair (i, j) has angle(F) = angle(c_i conj(c_j)) (conjugate
 by q_j) and ||trans(F)|| = ||R(c_i) (tp_j - tp_i) - (tq_j - tq_i)|| (rotate
 by q_i, an isometry): one product and one rotation per pair.
+``rpe_segments`` scores many runs in one pass; it takes the associated
+rows' gt and est rotations and positions and forms the offsets c itself.
 
 All RMSE/mean reductions use exact compensated summation (math.fsum)
 so the definitional identities hold to 1e-12 regardless of order.
@@ -36,6 +38,7 @@ from .align import AlignmentResult, horn_align
 from .errors import EmptyAssociationError, ValidationError
 from .geom3d import (
     Trajectory,
+    _fsum_mean,
     quat_angle,
     quat_conj,
     quat_mul,
@@ -93,10 +96,6 @@ class RpeReport:
     per_pair_rot: np.ndarray
 
 
-def _mean(values: np.ndarray) -> float:
-    return math.fsum(values.tolist()) / len(values)
-
-
 def ate(gt: Trajectory, est: Trajectory, assoc: Association) -> AteReport:
     """Absolute trajectory error of est against gt over associated pairs.
 
@@ -112,7 +111,7 @@ def ate(gt: Trajectory, est: Trajectory, assoc: Association) -> AteReport:
     median = float(np.sort(per_frame)[(n - 1) // 2 : n // 2 + 1].mean())
     return AteReport(
         rmse=alignment.rmse_after,
-        mean=_mean(per_frame),
+        mean=_fsum_mean(per_frame.tolist()),
         median=median,
         per_frame=per_frame,
         alignment=alignment,
@@ -133,7 +132,7 @@ def _segment_means(values: np.ndarray, counts) -> list[float]:
     """The mean of each segment of counts[k] consecutive values; NaN for an empty one."""
     flat = values.tolist()
     ends = np.cumsum(counts).tolist()
-    return [math.fsum(flat[b - m : b]) / m if m else math.nan
+    return [_fsum_mean(flat[b - m : b]) if m else math.nan
             for b, m in zip(ends, np.asarray(counts).tolist())]
 
 
@@ -148,15 +147,19 @@ def _fixed_delta_pairs(counts: np.ndarray, delta: int):
     return i, i + delta, m
 
 
-def rpe_segments(c, gt_xyz, est_xyz, counts: np.ndarray, delta: int, mode: str):
+@np.errstate(over="ignore", invalid="ignore")
+def rpe_segments(gt_q, est_q, gt_xyz, est_xyz, counts: np.ndarray, delta: int, mode: str):
     """RPE of each segment of counts[k] consecutive associated rows in one pass.
 
-    c, gt_xyz and est_xyz hold each row's offset q conj(p) and positions.
+    gt_q, est_q, gt_xyz and est_xyz hold each row's gt and est rotations
+    q and p and positions; the offsets c = q conj(p) are taken once per row.
     Returns each segment's translation RMSE and mean rotation angle (NaN
-    for a segment without pairs) and the per-pair errors of all segments.
+    for a segment without pairs) and the per-pair errors of all segments;
+    values that overflow become inf or NaN without a warning.
     Fixed delta scores every segment's pairs (i, i + delta) at once; all
     pairs, O(n^2) per segment, goes delta by delta within each segment.
     """
+    c = quat_mul(gt_q, quat_conj(est_q))
     if mode == RPE_MODE_FIXED:
         i, j, m = _fixed_delta_pairs(counts, delta)
         err_t, err_r = _pair_errors(c, gt_xyz, est_xyz, i, j)
@@ -214,9 +217,8 @@ def rpe(
         _check_all_pairs_size(n, allow_large)
         delta = 0
     gi, ei = assoc.gt_indices, assoc.est_indices
-    c = quat_mul(gt.q[gi], quat_conj(est.q[ei]))
-    (trans,), (rot,), err_t, err_r = rpe_segments(c, gt.xyz[gi], est.xyz[ei], np.array([n]),
-                                                  delta, mode)
+    (trans,), (rot,), err_t, err_r = rpe_segments(gt.q[gi], est.q[ei], gt.xyz[gi], est.xyz[ei],
+                                                  np.array([n]), delta, mode)
     return RpeReport(
         delta=delta,
         mode=mode,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "save_tum",
     "associate",
     "associate_by_index",
+    "associate_runs",
     "DEFAULT_MAX_TIME_DIFF",
 ]
 
@@ -234,73 +235,64 @@ def save_tum(traj: Trajectory, path: str | Path) -> None:
             fp.write(block)
 
 
-def associate(
-    gt: Trajectory,
-    est: Trajectory,
-    max_time_diff: float = DEFAULT_MAX_TIME_DIFF,
-) -> Association:
-    """Match poses of two timestamped trajectories by nearest timestamps.
+def associate_runs(runs: Sequence[tuple[Trajectory, Trajectory]],
+                   max_time_diff: float = DEFAULT_MAX_TIME_DIFF, by_index: bool = False):
+    """Match the poses of every run (gt, est) at once, each run as if alone.
 
-    Candidate pairs with |t_gt - t_est| <= max_time_diff are taken
-    greedily in order of ascending |dt| (ties broken by earlier gt
-    timestamp, then earlier est timestamp); a pair is accepted when
-    neither index is already matched. The greedy order makes the result
-    deterministic and symmetric under swapping the two inputs.
+    Returns, per pair in run order and then gt order, its run, gt index and
+    est index as int arrays, and a dict from each run that cannot be
+    associated to its error message; such a run has no pairs.
 
-    A candidate is uncontested when its gt index and its est index each
-    occur in no other candidate. Greedy selection accepts every such
-    candidate whatever its place in the order, since only a candidate
-    sharing an index could have claimed one first, and accepting it
-    claims no index another candidate needs. So uncontested candidates
-    are accepted at once, and the greedy loop runs over the rest only.
-    That saves the loop when the tolerance window rarely holds two stamps
-    of the other side (0.02 s against 30 Hz stamps leaves none
-    contested); with dense stamps or a wide tolerance most candidates are
-    contested and the loop does most of the work.
+    by_index pairs (i, i) for i < min(n_gt, n_est): rendered or synthetic
+    datasets pose the estimate frame for frame against ground truth.
+    Otherwise candidate pairs with |t_gt - t_est| <= max_time_diff are taken
+    greedily by ascending |dt| (ties to the earlier gt stamp, then the
+    earlier est stamp) when neither index is taken yet, which makes the
+    result deterministic and symmetric under swapping gt and est.
 
-    Raises EmptyAssociationError when nothing matches, and ValidationError,
-    before building any, for more candidates than 32 (n_gt + n_est), which
-    bounds time and memory: about a 1 s tolerance at 30 Hz, or all against
-    all up to 64 poses a side.
+    A candidate sharing neither index with another is uncontested: greedy
+    selection accepts it whatever its place in the order, and accepting it
+    claims no index another candidate needs. So only contested candidates
+    go through the greedy loop; 0.02 s against 30 Hz stamps leaves none,
+    while dense stamps or a wide tolerance leave most. All runs are matched
+    together, each run's indices offset past the previous runs' (a ground
+    truth shared by runs once per run), and no candidate shares an index
+    with another run's.
+
+    A run fails with an unstamped pose or, before any of its candidates is
+    built, with more than 32 (n_gt + n_est) candidates, which bounds time
+    and memory: about a 1 s tolerance at 30 Hz, or all against all up to
+    64 poses a side. A negative or NaN max_time_diff raises ValidationError.
     """
-    ts_gt = gt.timestamps()
-    ts_est = est.timestamps()
-    if ts_gt is None or ts_est is None:
-        raise ValidationError("association requires timestamps on every pose of both trajectories")
+    n_gt = np.array([len(gt) for gt, _ in runs], dtype=int)
+    n_est = np.array([len(est) for _, est in runs], dtype=int)
+    if by_index:
+        m = np.minimum(n_gt, n_est)
+        run = np.repeat(np.arange(len(runs)), m)
+        gi = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        return run, gi, gi, {}
     if not max_time_diff >= 0:  # NaN too
         raise ValidationError(f"max_time_diff must be non-negative, got {max_time_diff!r}")
-    gi, ej = _match_windows(ts_gt, ts_est, *_time_windows(ts_gt, ts_est, max_time_diff),
-                           max_time_diff)
-    if not len(gi):
-        raise EmptyAssociationError(
-            f"no timestamp pairs within {max_time_diff} s between "
-            f"{gt.traj_id or 'gt'} and {est.traj_id or 'est'}"
-        )
-    return Association.from_indices(gi, ej, max_time_diff)
 
+    failed: dict[int, str] = {}
+    est_start = np.cumsum(n_est) - n_est
+    # per gt stamp, the first est candidate (offset past the previous runs') and the count
+    lo, counts = [], []
+    for r, (gt, est) in enumerate(runs):
+        run_lo = np.searchsorted(est.t, gt.t - max_time_diff, side="left")
+        run_counts = np.searchsorted(est.t, gt.t + max_time_diff, side="right") - run_lo
+        total, cap = int(run_counts.sum()), 32 * (len(gt) + len(est))
+        if not (gt.has_timestamps and est.has_timestamps):
+            failed[r] = "association requires timestamps on every pose of both trajectories"
+        elif total > cap:
+            failed[r] = (f"max_time_diff {max_time_diff!r} s leaves {total} candidate "
+                         f"pairs, more than 32 per pose ({cap})")
+        lo.append(run_lo + est_start[r])
+        counts.append(np.zeros_like(run_counts) if r in failed else run_counts)
+    lo, counts = np.concatenate(lo), np.concatenate(counts)
+    ts_gt = np.concatenate([gt.t for gt, _ in runs])
+    ts_est = np.concatenate([est.t for _, est in runs])
 
-def _time_windows(ts_gt: np.ndarray, ts_est: np.ndarray, max_time_diff: float):
-    """For each gt stamp, the first est index within max_time_diff and the count of
-    est stamps there: the candidate pairs of ``associate``. Raises ValidationError
-    for more than 32 (n_gt + n_est) candidates, before any is built."""
-    lo = np.searchsorted(ts_est, ts_gt - max_time_diff, side="left")
-    counts = np.searchsorted(ts_est, ts_gt + max_time_diff, side="right") - lo
-    total, cap = int(counts.sum()), 32 * (len(ts_gt) + len(ts_est))
-    if total > cap:
-        raise ValidationError(f"max_time_diff {max_time_diff!r} s leaves {total} candidate "
-                              f"pairs, more than 32 per pose ({cap})")
-    return lo, counts
-
-
-def _match_windows(ts_gt, ts_est, lo, counts, max_time_diff: float):
-    """The accepted (gt index, est index) pairs of ``associate``, in gt order, over the
-    candidate windows (lo, counts) that ``_time_windows`` gives for each gt stamp.
-
-    Several runs can be matched in one call: concatenate their stamps and windows,
-    each run's indices offset past the previous runs' (a ground truth shared by
-    runs is repeated, once per run). Greedy selection never lets a candidate claim
-    an index of another run, so each run gets the pairs it gets alone.
-    """
     gi = np.repeat(np.arange(len(ts_gt)), counts)
     ej = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(len(gi))
     dt = np.abs(ts_gt[gi] - ts_est[ej])
@@ -310,8 +302,7 @@ def _match_windows(ts_gt, ts_est, lo, counts, max_time_diff: float):
     accepted = (np.bincount(gi)[gi] == 1) & (np.bincount(ej)[ej] == 1)
     contested = np.flatnonzero(~accepted)
     order = contested[np.lexsort((ts_est[ej[contested]], ts_gt[gi[contested]], dt[contested]))]
-    used_gt: set[int] = set()
-    used_est: set[int] = set()
+    used_gt, used_est = set(), set()
     for k, i, j in zip(order.tolist(), gi[order].tolist(), ej[order].tolist()):
         if i in used_gt or j in used_est:
             continue
@@ -319,14 +310,33 @@ def _match_windows(ts_gt, ts_est, lo, counts, max_time_diff: float):
         used_est.add(j)
         accepted[k] = True
     # candidates run in gt order, and each gt index is accepted at most once
-    return gi[accepted], ej[accepted]
+    gi, ej, gt_start = gi[accepted], ej[accepted], np.cumsum(n_gt) - n_gt
+    run = np.searchsorted(gt_start, gi, side="right") - 1
+    return run, gi - gt_start[run], ej - est_start[run], failed
+
+
+def associate(gt: Trajectory, est: Trajectory,
+              max_time_diff: float = DEFAULT_MAX_TIME_DIFF) -> Association:
+    """Match poses of two timestamped trajectories by nearest timestamps:
+    the one run of ``associate_runs``, which states the matching rule.
+
+    Raises EmptyAssociationError when nothing matches, and ValidationError
+    for an unstamped pose, a negative tolerance or more candidates than
+    32 (n_gt + n_est).
+    """
+    _, gi, ej, failed = associate_runs([(gt, est)], max_time_diff)
+    if failed:
+        raise ValidationError(failed[0])
+    if not len(gi):
+        raise EmptyAssociationError(
+            f"no timestamp pairs within {max_time_diff} s between "
+            f"{gt.traj_id or 'gt'} and {est.traj_id or 'est'}"
+        )
+    return Association.from_indices(gi, ej, max_time_diff)
 
 
 def associate_by_index(gt: Trajectory, est: Trajectory) -> Association:
-    """Index-identity association for sequences with per-frame correspondence.
-
-    Rendered or synthetic datasets pose the estimate frame-for-frame
-    against ground truth, so matching (i, i) skips the timestamp search.
-    """
-    idx = np.arange(min(len(gt), len(est)))
-    return Association.from_indices(idx, idx, math.inf)
+    """Index-identity association for sequences with per-frame correspondence:
+    the one run of ``associate_runs`` by index, which skips the timestamp search."""
+    _, gi, ej, _ = associate_runs([(gt, est)], by_index=True)
+    return Association.from_indices(gi, ej, math.inf)

@@ -57,6 +57,7 @@ def sequence_stats(t: Trajectory) -> SequenceStats:
     return segment_stats(t.t, t.xyz, t.q, np.array([len(t)]))[0]
 
 
+@np.errstate(over="ignore")
 def segment_stats(t: np.ndarray, xyz: np.ndarray, q: np.ndarray, counts: np.ndarray):
     """``sequence_stats`` of each segment of counts[k] >= 1 consecutive poses of
     the pose arrays t, xyz, q, in one pass; a list of SequenceStats."""

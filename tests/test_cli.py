@@ -164,6 +164,37 @@ def test_bad_jobs_variable_exit_code(traj_files, tmp_path, monkeypatch, capsys, 
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, code", [
+    ("rpe_delta", 10**30, EXIT_BAD_INPUT),
+    ("stride", 2**63, EXIT_BAD_INPUT),
+    ("rpe_delta", sys.maxsize, EXIT_OK),
+    ("stride", sys.maxsize, EXIT_OK),
+])
+def test_manifest_integers_end_at_int64(traj_files, tmp_path, capsys, option, value, code):
+    # the array pass takes rpe_delta and stride as int64: beyond it is bad input
+    gt_path, drift_path = traj_files
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        [{"sequence_id": "a", "gt_path": str(gt_path), "estimate_paths": [str(drift_path)]}],
+        **{option: value},
+    )
+    assert main(["batch", str(manifest), "--out", str(tmp_path / "r")]) == code
+    assert (option in capsys.readouterr().err) == (code == EXIT_BAD_INPUT)
+
+
+@pytest.mark.parametrize("stride, code", [("100000000000000000000000", EXIT_BAD_INPUT),
+                                          (str(sys.maxsize), EXIT_OK)])
+def test_batch_stride_flag_ends_at_int64(traj_files, tmp_path, capsys, stride, code):
+    gt_path, drift_path = traj_files
+    manifest = write_manifest(
+        tmp_path / "m.json",
+        [{"sequence_id": "a", "gt_path": str(gt_path), "estimate_paths": [str(drift_path)]}],
+    )
+    argv = ["batch", str(manifest), "--out", str(tmp_path / "r"), "--stride", stride]
+    assert main(argv) == code
+    assert ("stride" in capsys.readouterr().err) == (code == EXIT_BAD_INPUT)
+
+
 @pytest.mark.parametrize("stride", ["0", "-3"])
 def test_stats_rejects_a_stride_below_one(traj_files, capsys, stride):
     gt_path, _ = traj_files

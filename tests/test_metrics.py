@@ -11,8 +11,6 @@ from slameval.geom3d import (
     Trajectory,
     angle_of,
     compose,
-    quat_conj,
-    quat_mul,
     relative,
     rot,
     trans,
@@ -244,8 +242,7 @@ def test_segment_kernels_give_each_segment_its_one_segment_bits(mode, delta):
     est = random_pose_trajectory(rng, counts.sum())
     ends = np.cumsum(counts)
     rot_m, t, residuals, rmse = horn_align_segments(gt.xyz, est.xyz, counts)
-    c = quat_mul(gt.q, quat_conj(est.q))
-    trans, rot_mean, err_t, err_r = rpe_segments(c, gt.xyz, est.xyz, counts, delta, mode)
+    trans, rot_mean, err_t, err_r = rpe_segments(gt.q, est.q, gt.xyz, est.xyz, counts, delta, mode)
     pair_lo = 0
     for k, (a, b) in enumerate(zip(ends - counts, ends)):
         alone = horn_align(gt.xyz[a:b], est.xyz[a:b])

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from slameval.trajio import (
     _BLOCK_ROWS,
     associate,
     associate_by_index,
+    associate_runs,
     dumps_tum,
     load_tum,
     parse_tum,
@@ -75,6 +77,13 @@ def test_parse_rejects_a_non_finite_stamp(stamp):
 def test_parse_empty_stream_is_rejected():
     with pytest.raises(ValidationError):
         parse_tum("# only a comment\n")
+
+
+def test_parse_error_survives_pickling():
+    # as when a worker process sends it back
+    err = pickle.loads(pickle.dumps(ParseError("non-finite value", 3)))
+    assert type(err) is ParseError
+    assert str(err) == "line 3: non-finite value" and err.line_no == 3
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +292,45 @@ def test_associate_by_index():
     est = _stamped([5.0, 5.1])  # timestamps far apart on purpose
     assoc = associate_by_index(gt, est)
     assert assoc.pairs == ((0, 0), (1, 1))
+
+
+def _alone(gt, est, tol, by_index):
+    """The pairs of one run associated alone, or the message of its ValidationError."""
+    try:
+        return list((associate_by_index(gt, est) if by_index else associate(gt, est, tol)).pairs)
+    except EmptyAssociationError:
+        return []
+    except ValidationError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("tol", [0.02, 0.3])
+@pytest.mark.parametrize("by_index", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_associate_runs_gives_each_run_its_pairs_alone(seed, by_index, tol):
+    # runs sharing one ground truth, a run whose stamps never meet, a run over the
+    # candidate bound and an unstamped one, among random runs
+    rng = np.random.default_rng(400 + seed)
+
+    def stamps():
+        return _stamped(np.unique(rng.uniform(0, 10, size=rng.integers(1, 80))))
+
+    shared, dense = stamps(), _stamped(np.arange(100) * 1e-4)
+    runs = [(shared if rng.random() < 0.5 else stamps(), stamps()) for _ in range(8)]
+    runs[3:3] = [(shared, _stamped(shared.t + 100.0)), (dense, dense),
+                 (Trajectory((Pose.identity(0.0), Pose.identity())), shared)]
+    run, gi, ej, failed = associate_runs(runs, tol, by_index)
+
+    expected, expected_failed = [], {}
+    for r, (gt, est) in enumerate(runs):
+        alone = _alone(gt, est, tol, by_index)
+        if isinstance(alone, str):
+            expected_failed[r] = alone
+        else:
+            expected += [(r, i, j) for i, j in alone]
+    assert list(zip(run.tolist(), gi.tolist(), ej.tolist())) == expected
+    assert failed == expected_failed
+    assert sorted(failed) == ([] if by_index else [4, 5])
 
 
 def test_parse_is_locale_independent():
