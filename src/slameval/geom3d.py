@@ -213,10 +213,6 @@ def quat_from_axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
     return quat_normalize(np.concatenate([np.cos(half), np.sin(half) * (axis / norm)], axis=-1))
 
 
-# ---------------------------------------------------------------------------
-# Value types
-# ---------------------------------------------------------------------------
-
 def _fsum_mean(values: list[float]) -> float:
     """The mean of a non-empty list by exact summation (math.fsum); when only the
     sum is beyond the float range, the mean of the values divided by their count."""
@@ -225,6 +221,10 @@ def _fsum_mean(values: list[float]) -> float:
     except OverflowError:
         return math.fsum(v / len(values) for v in values)
 
+
+# ---------------------------------------------------------------------------
+# Value types
+# ---------------------------------------------------------------------------
 
 def _locked(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float, copy=True)
