@@ -582,7 +582,8 @@ def test_finite_but_huge_coordinates_end_in_a_bundle(tmp_path, capsys):
     # the sum of its squared residuals, not their mean; a ground truth and estimate
     # at about 1e200 m overflow their cross-covariance
     path = _small_cohort(tmp_path, n_seq=5, runs=1, frames=40)
-    alone = json.loads(path.read_text())
+    alone = tmp_path / "alone.json"
+    alone.write_text(path.read_text())
     doc = json.loads(path.read_text())
     gt = random_trajectory(seed=190, n=40, step_mean=0.006, turn_mean=0.02)
     est = perturb(gt, PerturbationSpec(noise_sigma_trans=0.002, seed=191))
@@ -603,8 +604,7 @@ def test_finite_but_huge_coordinates_end_in_a_bundle(tmp_path, capsys):
     assert "ate.rmse            inf m" in capsys.readouterr().out
 
     summary = json.loads((tmp_path / "report/summary.json").read_text())
-    (tmp_path / "alone.json").write_text(json.dumps(alone))
-    manifest = load_manifest(tmp_path / "alone.json")
+    manifest = load_manifest(alone)
     expected = json.loads(dump_json(summary_to_dict(run_batch(manifest), manifest.options)))
     # the other runs' numbers hold bit for bit; the overflowed ATEs are written as null
     assert summary["sequences"][:5] == expected["sequences"]
