@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Pose, Rotation, _fsum_mean
+from .geom3d import Pose, Rotation, _segment_means
 
 __all__ = ["AlignmentResult", "horn_align", "horn_align_segments"]
 
@@ -133,7 +133,4 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     r = np.repeat(rot_m.transpose(1, 2, 0), counts, axis=2)
     residuals = r[:, 0] * pc[0] + r[:, 1] * pc[1] + r[:, 2] * pc[2] - qc
     sq = np.add.reduce(residuals * residuals, axis=0)
-    sq_list = sq.tolist()
-    rmse = [math.sqrt(_fsum_mean(sq_list[a : a + n]))
-            for a, n in zip(starts.tolist(), counts.tolist())]
-    return rot_m, t, np.sqrt(sq), rmse
+    return rot_m, t, np.sqrt(sq), [math.sqrt(v) for v in _segment_means(sq, counts)]

@@ -58,7 +58,7 @@ from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, 
                      SequenceResult, summarize)
 from .errors import SlamEvalError, ValidationError
 from .geom3d import Trajectory
-from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _check_all_pairs_size, rpe_segments
+from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _all_pairs_refusal, rpe_segments
 from .trajio import (DEFAULT_MAX_TIME_DIFF, associate, associate_by_index, associate_runs,
                      load_tum)
 from .trajstats import resample_stride, segment_stats
@@ -244,15 +244,12 @@ def _score_runs(runs: list[tuple[Trajectory, Trajectory]],
     run, gi, ej, failed = _share_pairs(runs, options)
     counts = np.bincount(run, minlength=len(runs))
     if options.rpe_mode == RPE_MODE_ALL_PAIRS:
-        for r in np.flatnonzero(counts > 1).tolist():
-            try:
-                _check_all_pairs_size(int(counts[r]))
-            except ValidationError as exc:
-                failed[r] = str(exc)
-        if failed:
-            kept = ~np.isin(run, list(failed))
-            run, gi, ej = run[kept], gi[kept], ej[kept]
-            counts = np.bincount(run, minlength=len(runs))
+        for r, n in enumerate(counts.tolist()):
+            if refusal := _all_pairs_refusal(n):
+                failed[r] = refusal
+        kept = ~np.isin(run, list(failed))
+        run, gi, ej = run[kept], gi[kept], ej[kept]
+        counts = np.bincount(run, minlength=len(runs))
     for r, error in failed.items():
         records[r] = error
     scored = np.flatnonzero(counts)
@@ -442,15 +439,19 @@ def _forked_shares(shares: list, options: BatchOptions) -> list:
 
 
 def _pooled_shares(shares: list, options: BatchOptions) -> list:
-    """shares[1:] in a pool of spawned processes and shares[0] here, results in share order."""
+    """shares[1:] in a pool of spawned processes and shares[0] here, results in share
+    order; a worker that dies raises ChildProcessError, as on the fork path."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=len(shares) - 1, mp_context=context) as pool:
-        futures = [pool.submit(_evaluate_share, share, options) for share in shares[1:]]
-        first = _evaluate_share(shares[0], options)
-        return [first, *(future.result() for future in futures)]
+    try:
+        with ProcessPoolExecutor(max_workers=len(shares) - 1, mp_context=context) as pool:
+            futures = [pool.submit(_evaluate_share, share, options) for share in shares[1:]]
+            first = _evaluate_share(shares[0], options)
+            return [first, *(future.result() for future in futures)]
+    except BrokenExecutor as exc:
+        raise ChildProcessError(f"a batch worker ended without sending its result ({exc})") from exc
 
 
 def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:

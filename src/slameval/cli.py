@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="parallel workers (default: $SLAMEVAL_JOBS or 1; 1 is bit-reproducible)",
+        help="parallel workers (default: $SLAMEVAL_JOBS or 1); any count, same report",
     )
     p_batch.add_argument("--stride", type=int, default=None, help="override the manifest stride")
     p_batch.add_argument("--svg", action="store_true", help="also write SVG charts")

@@ -166,8 +166,8 @@ def quat_to_matrix(q: np.ndarray) -> np.ndarray:
 def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     """Convert one 3x3 rotation matrix to a (w, x, y, z) quaternion.
 
-    Shepperd's branching keeps the division well conditioned for any
-    rotation; the result is normalized and sign-canonicalized.
+    The quaternion is read from the best-conditioned row of 4 q q^T, as
+    in Shepperd's method; the result is normalized and sign-canonicalized.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
@@ -178,28 +178,16 @@ def quat_from_matrix(m: np.ndarray) -> np.ndarray:
     eye = np.eye(3)
     if not (np.abs(m @ m.T - eye) <= 0.1 + 1e-5 * eye).all() or np.linalg.det(m) < 0.5:
         raise ValidationError("matrix is not a rotation (must be orthogonal with det +1)")
-    tr = m[0, 0] + m[1, 1] + m[2, 2]
-    if tr > 0.0:
-        s = math.sqrt(tr + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] > m[1, 1] and m[0, 0] > m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] > m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
-    else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    return quat_normalize(q)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m.tolist()
+    # K = 4 q q^T; row k is 4 q_k q, so the row with the largest diagonal
+    # 4 q_k^2 >= 1 normalizes to +-q without dividing by a small component
+    k = np.array([
+        [1.0 + m00 + m11 + m22, m21 - m12, m02 - m20, m10 - m01],
+        [m21 - m12, 1.0 + m00 - m11 - m22, m01 + m10, m02 + m20],
+        [m02 - m20, m01 + m10, 1.0 - m00 + m11 - m22, m12 + m21],
+        [m10 - m01, m02 + m20, m12 + m21, 1.0 - m00 - m11 + m22],
+    ])
+    return quat_normalize(k[np.argmax(k.diagonal())])
 
 
 def quat_from_axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
@@ -220,6 +208,14 @@ def _fsum_mean(values: list[float]) -> float:
         return math.fsum(values) / len(values)
     except OverflowError:
         return math.fsum(v / len(values) for v in values)
+
+
+def _segment_means(values: np.ndarray, counts) -> list[float]:
+    """``_fsum_mean`` of each segment of counts[k] consecutive values; NaN for an empty one."""
+    flat = values.tolist()
+    ends = np.cumsum(counts).tolist()
+    return [_fsum_mean(flat[b - m : b]) if m else math.nan
+            for b, m in zip(ends, np.asarray(counts).tolist())]
 
 
 # ---------------------------------------------------------------------------

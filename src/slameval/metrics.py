@@ -23,8 +23,10 @@ by q_i, an isometry): one product and one rotation per pair.
 ``rpe_segments`` scores many runs in one pass; it takes the associated
 rows' gt and est rotations and positions and forms the offsets c itself.
 
-All RMSE/mean reductions use exact compensated summation (math.fsum)
-so the definitional identities hold to 1e-12 regardless of order.
+All RMSE/mean reductions use exact compensated summation (math.fsum),
+through geom3d's _fsum_mean and _segment_means, so the definitional
+identities hold to 1e-12 regardless of order; the cohort averages of
+trajstats.cohort_stats take the same exact mean.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import EmptyAssociationError, ValidationError
 from .geom3d import (
     Trajectory,
     _fsum_mean,
+    _segment_means,
     quat_angle,
     quat_conj,
     quat_mul,
@@ -128,14 +131,6 @@ def _pair_errors(c, gt_xyz, est_xyz, i, j):
     return err_t, err_r
 
 
-def _segment_means(values: np.ndarray, counts) -> list[float]:
-    """The mean of each segment of counts[k] consecutive values; NaN for an empty one."""
-    flat = values.tolist()
-    ends = np.cumsum(counts).tolist()
-    return [_fsum_mean(flat[b - m : b]) if m else math.nan
-            for b, m in zip(ends, np.asarray(counts).tolist())]
-
-
 def _fixed_delta_pairs(counts: np.ndarray, delta: int):
     """The pairs (i, i + delta) inside each segment of counts[k] consecutive rows:
     the rows i and i + delta of every pair, in row order, and the pair count
@@ -174,14 +169,10 @@ def rpe_segments(gt_q, est_q, gt_xyz, est_xyz, counts: np.ndarray, delta: int, m
     return trans, _segment_means(err_r, m), err_t, err_r
 
 
-def _check_all_pairs_size(n: int, allow_large: bool = False) -> None:
-    """Raise ValidationError for all-pairs RPE over more than ALL_PAIRS_DEFAULT_CAP
-    associated pairs, unless allow_large is set."""
-    if n > ALL_PAIRS_DEFAULT_CAP and not allow_large:
-        raise ValidationError(
-            f"all-pairs RPE over {n} poses exceeds the cap of "
-            f"{ALL_PAIRS_DEFAULT_CAP}; pass allow_large=True to override"
-        )
+def _all_pairs_refusal(n: int) -> str | None:
+    """The error of all-pairs RPE over n > ALL_PAIRS_DEFAULT_CAP associated pairs, else None."""
+    return (f"all-pairs RPE over {n} poses exceeds the cap of {ALL_PAIRS_DEFAULT_CAP}; "
+            "pass allow_large=True to override") if n > ALL_PAIRS_DEFAULT_CAP else None
 
 
 def rpe(
@@ -214,7 +205,8 @@ def rpe(
                 f"delta must satisfy 1 <= delta < {n} (associated pairs), got {delta}"
             )
     else:
-        _check_all_pairs_size(n, allow_large)
+        if not allow_large and (refusal := _all_pairs_refusal(n)):
+            raise ValidationError(refusal)
         delta = 0
     gi, ei = assoc.gt_indices, assoc.est_indices
     (trans,), (rot,), err_t, err_r = rpe_segments(gt.q[gi], est.q[ei], gt.xyz[gi], est.xyz[ei],

@@ -169,16 +169,16 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
 def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     """Read a TUM-format file; traj_id defaults to the file stem.
 
-    Lines end at LF, CR or CRLF, as in a text-mode file. Bytes that are
-    not UTF-8 raise ParseError with their line number.
+    It is read as UTF-8 text with universal newlines: lines end at LF, CR
+    or CRLF. Bytes that are not UTF-8 raise ParseError with their line number.
     """
     path = Path(path)
-    data = path.read_bytes()
     try:
-        text = data.decode("utf-8")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        line_no = len((data[: exc.start] + b"x").splitlines())
-        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line_no) from None
+        # the whole file is decoded in one call: exc.start is its offset in the file
+        line_no = len((exc.object[: exc.start] + b"x").splitlines())
+        raise ParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line_no) from None
     return parse_tum(text, traj_id if traj_id is not None else path.stem)
 
 

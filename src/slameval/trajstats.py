@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Trajectory, _view, quat_angle, quat_conj, quat_mul
+from .geom3d import Trajectory, _fsum_mean, _view, quat_angle, quat_conj, quat_mul
 
 __all__ = [
     "SequenceStats", "sequence_stats", "segment_stats", "resample_stride", "cohort_stats",
@@ -75,7 +75,7 @@ def segment_stats(t: np.ndarray, xyz: np.ndarray, q: np.ndarray, counts: np.ndar
         path_length = math.fsum(steps[a : b - 1])
         stats.append(SequenceStats(
             mean_vel_per_frame=path_length / (n - 1),
-            mean_ang_vel_per_frame=math.degrees(math.fsum(angles[a : b - 1]) / (n - 1)),
+            mean_ang_vel_per_frame=math.degrees(_fsum_mean(angles[a : b - 1])),
             frame_count=n,
             duration=duration,
             path_length=path_length,
@@ -108,12 +108,11 @@ def cohort_stats(stats: Sequence[SequenceStats]) -> SequenceStats:
     """
     if not stats:
         raise ValidationError("cohort_stats needs at least one SequenceStats")
-    k = len(stats)
     durations = [s.duration for s in stats if s.duration is not None]
     return SequenceStats(
-        mean_vel_per_frame=math.fsum(s.mean_vel_per_frame for s in stats) / k,
-        mean_ang_vel_per_frame=math.fsum(s.mean_ang_vel_per_frame for s in stats) / k,
-        frame_count=math.fsum(s.frame_count for s in stats) / k,
-        duration=(math.fsum(durations) / len(durations)) if durations else None,
-        path_length=math.fsum(s.path_length for s in stats) / k,
+        mean_vel_per_frame=_fsum_mean([s.mean_vel_per_frame for s in stats]),
+        mean_ang_vel_per_frame=_fsum_mean([s.mean_ang_vel_per_frame for s in stats]),
+        frame_count=_fsum_mean([s.frame_count for s in stats]),
+        duration=_fsum_mean(durations) if durations else None,
+        path_length=_fsum_mean([s.path_length for s in stats]),
     )

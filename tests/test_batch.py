@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -484,6 +485,29 @@ def test_a_child_that_dies_while_sending_is_an_error(tmp_path, monkeypatch):
     assert len(forks) == 2 and _all_reaped(forks)
 
 
+class _BrokenPool(_RecordingPool):
+    """A stand-in executor whose workers all die before sending a result."""
+
+    def submit(self, fn, *args):
+        def result():
+            raise BrokenProcessPool("a process in the pool was terminated abruptly")
+        return SimpleNamespace(result=result)
+
+
+def test_a_broken_spawned_pool_is_a_child_process_error(tmp_path, monkeypatch, capsys):
+    # where fork is unsafe, a dead pool worker ends the batch as on the fork path: exit 2
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(batch, "_fork_is_safe", lambda: False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    path = _small_cohort(tmp_path, n_seq=3, runs=1, frames=30)
+    with pytest.raises(ChildProcessError, match="terminated abruptly") as info:
+        run_batch(load_manifest(path), jobs=2)
+    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    assert main(["batch", str(path), "--out", str(tmp_path / "r"), "--jobs", "2"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err.startswith("error: a batch worker ended without sending")
+
+
 def test_a_manifest_without_entries_evaluates_nothing():
     empty = batch.RunManifest((), BatchOptions())
     assert run_batch(empty, jobs=3) == batch.BatchOutcome(None, (), 0)
@@ -610,6 +634,40 @@ def test_finite_but_huge_coordinates_end_in_a_bundle(tmp_path, capsys):
     assert summary["sequences"][:5] == expected["sequences"]
     far_est, far_sum, far_pair = (seq["median"]["ate_rmse"] for seq in summary["sequences"][5:])
     assert far_est is None and far_pair is None and 2e153 < far_sum < 3e153
+
+
+def test_durations_beyond_half_the_float_range_average_in_batch_and_stats(tmp_path, capsys):
+    # each sequence spans 0 s to 1.7e308 s: the two durations sum beyond the float range
+    n = 20
+    t = np.linspace(0.0, 1.7e308, n)
+    gt = random_trajectory(seed=195, n=n, step_mean=0.006, turn_mean=0.02)
+    sequences = []
+    for k in range(2):
+        traj = Trajectory.from_arrays(t, gt.xyz + 0.001 * k, gt.q)
+        save_tum(traj, tmp_path / f"gt/s{k}.txt")
+        save_tum(traj, tmp_path / f"est/s{k}.txt")
+        sequences.append({"sequence_id": f"s{k}", "gt_path": f"gt/s{k}.txt",
+                          "estimate_paths": [f"est/s{k}.txt"]})
+    path = write_manifest(tmp_path / "m.json", sequences)
+    assert main(["batch", str(path), "--out", str(tmp_path / "report")]) == EXIT_OK
+    summary = json.loads((tmp_path / "report/summary.json").read_text())
+    assert summary["cohort_attributes"]["duration"] == 1.7e308
+    capsys.readouterr()
+    assert main(["stats", *(str(tmp_path / f"gt/s{k}.txt") for k in range(2))]) == EXIT_OK
+    assert "(cohort mean)" in capsys.readouterr().out
+
+
+def test_batch_records_the_all_pairs_refusal_of_rpe(tmp_path):
+    # a run over the all-pairs cap fails with the message rpe raises; the others are scored
+    specs = [(f"n{n}", random_trajectory(seed=n, n=n, step_mean=0.006, turn_mean=0.02),
+              [PerturbationSpec(noise_sigma_trans=0.002, seed=n)]) for n in (2001, 60)]
+    manifest = load_manifest(build_synth_cohort(tmp_path, specs, rpe_mode="all-pairs"))
+    outcome = run_batch(manifest)
+    gt, est = (load_tum(tmp_path / name) for name in ("gt/n2001.txt", "est/n2001_run0.txt"))
+    with pytest.raises(ValidationError) as err:
+        rpe(gt, est, associate(gt, est), mode="all-pairs")
+    assert [(f.sequence_id, f.error) for f in outcome.failures] == [("n2001", str(err.value))]
+    assert outcome.evaluated_count == 1
 
 
 def test_batch_isolates_non_utf8_files(tmp_path):

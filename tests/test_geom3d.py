@@ -13,6 +13,7 @@ from slameval.geom3d import (
     compose,
     inverse,
     quat_angle,
+    quat_from_matrix,
     relative,
     trans,
 )
@@ -245,6 +246,21 @@ def test_quaternion_matrix_round_trip():
         r = random_rotation(rng)
         back = Rotation.from_matrix(r.matrix)
         assert precise_angle_between(r, back) <= 1e-9
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("angle", [0.0, 1e-12, math.pi / 2, math.pi - 1e-9, math.pi])
+def test_quaternion_from_matrix_is_exact_at_every_angle(axis, angle):
+    # each row of 4 q q^T serves some rotation: near 0 the w row, near pi an axis row
+    r = Rotation.from_axis_angle(np.eye(3)[axis], angle)
+    assert precise_angle_between(r, Rotation(quat_from_matrix(r.matrix))) <= 2e-15
+
+
+def test_quaternion_from_matrix_is_exact_on_random_rotations():
+    rng = np.random.default_rng(21)
+    for _ in range(2000):
+        r = random_rotation(rng)
+        assert precise_angle_between(r, Rotation(quat_from_matrix(r.matrix))) <= 2e-15
 
 
 def test_pose_matrix_round_trip():

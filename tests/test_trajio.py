@@ -347,6 +347,16 @@ def test_load_rejects_non_utf8_with_line_number(tmp_path):
     assert err.value.line_no == 4
 
 
+def test_non_utf8_byte_far_into_a_file_reports_its_line(tmp_path):
+    # past the 64 KiB a buffered read takes at once: the offset must be the whole file's
+    path = tmp_path / "long.txt"
+    good = b"".join(b"%d 0 0 0 0 0 0 1\r\n" % k for k in range(6000))
+    assert len(good) > 1 << 16
+    path.write_bytes(good + b"6000 0 0 \xff 0 0 0 1\n")
+    with pytest.raises(ParseError, match="^line 6001: invalid UTF-8 byte 0xff$"):
+        load_tum(path)
+
+
 # str.splitlines breaks at each of these; a text-mode file does not
 _NOT_LINE_ENDS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
