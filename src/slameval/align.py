@@ -99,6 +99,17 @@ def horn_align(gt_points, est_points) -> AlignmentResult:
     return AlignmentResult(rot_m[0], t[0], residuals, rmse, n)
 
 
+def _segment_centroids(x: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mean of each segment of the columns of x (3, n), as (3, k). A sum beyond
+    the float range is taken again from the values divided by their count, as
+    geom3d._fsum_mean does; every finite sum keeps its bits."""
+    mean = np.add.reduceat(x, starts, axis=1) / counts
+    over = ~np.isfinite(mean)
+    if over.any():
+        mean[over] = np.add.reduceat(x / np.repeat(counts, counts), starts, axis=1)[over]
+    return mean
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     """``horn_align`` of each segment of the point arrays q, p (n, 3) in one pass.
@@ -112,8 +123,8 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
     starts = np.cumsum(counts) - counts
     # coordinate-major (3, n): each sum over a segment runs along contiguous memory
     p, q = np.ascontiguousarray(p.T), np.ascontiguousarray(q.T)
-    p_mean = np.add.reduceat(p, starts, axis=1) / counts
-    q_mean = np.add.reduceat(q, starts, axis=1) / counts
+    p_mean = _segment_centroids(p, starts, counts)
+    q_mean = _segment_centroids(q, starts, counts)
     pc = p - np.repeat(p_mean, counts, axis=1)
     qc = q - np.repeat(q_mean, counts, axis=1)
     # the cross-covariance sum (p_i - p_mean)(q_i - q_mean)^T of each segment; one that
@@ -128,7 +139,9 @@ def horn_align_segments(q: np.ndarray, p: np.ndarray, counts: np.ndarray):
         rot_m[k] = np.eye(3) if counts[k] == 1 else _minimal_rotation_between(
             p[:, a + 1] - p[:, a], q[:, a + 1] - q[:, a])
 
-    t = q_mean.T - np.einsum("kij,jk->ki", rot_m, p_mean)
+    # t = q_mean - R p_mean, summed in one order whatever the segment count (einsum's is not)
+    t = q_mean.T - (rot_m[:, :, 0] * p_mean[0, :, None] + rot_m[:, :, 1] * p_mean[1, :, None]
+                    + rot_m[:, :, 2] * p_mean[2, :, None])
     # R (p_i - p_mean) - (q_i - q_mean) = R p_i + t - q_i, with R of the row's segment
     r = np.repeat(rot_m.transpose(1, 2, 0), counts, axis=2)
     residuals = r[:, 0] * pc[0] + r[:, 1] * pc[1] + r[:, 2] * pc[2] - qc

@@ -28,14 +28,36 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 
 from . import __version__  # noqa: E402
-from .batch import associate_run, load_manifest, run_batch  # noqa: E402
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError  # noqa: E402
-from .geom3d import Pose, Rotation  # noqa: E402
-from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, ate, rpe  # noqa: E402
-from .report import dump_json, write_report_bundle  # noqa: E402
-from .synth import PerturbationSpec, perturb, random_trajectory  # noqa: E402
-from .trajio import DEFAULT_MAX_TIME_DIFF, load_tum, save_tum  # noqa: E402
-from .trajstats import cohort_stats, resample_stride, sequence_stats  # noqa: E402
+from .trajio import (DEFAULT_MAX_TIME_DIFF, RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED,  # noqa: E402
+                     load_tum, save_tum)
+
+# Every other name a command runs is imported from its home module on first
+# use (PEP 562), so each command loads only the modules it runs. Commands
+# reach these names through ``_cli``: a bare global name never reaches the
+# module __getattr__, and a name replaced on this module (as the tracer of
+# perfbench does) is called as replaced.
+_LAZY = {
+    "batch": ["associate_run", "load_manifest", "run_batch"],
+    "geom3d": ["Pose", "Rotation"],
+    "metrics": ["ate", "rpe"],
+    "report": ["dump_json", "write_report_bundle"],
+    "synth": ["PerturbationSpec", "perturb", "random_trajectory"],
+    "trajstats": ["cohort_stats", "resample_stride", "sequence_stats"],
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # through __import__, which -X importtime reports (importlib.import_module is not)
+    value = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -62,12 +84,12 @@ def _add_pair_arguments(p: argparse.ArgumentParser) -> None:
 def _load_pair(args):
     gt = load_tum(args.gt)
     est = load_tum(args.est)
-    return gt, est, associate_run(gt, est, args.max_diff, args.index_assoc)
+    return gt, est, _cli.associate_run(gt, est, args.max_diff, args.index_assoc)
 
 
 def _cmd_ate(args) -> int:
     gt, est, assoc = _load_pair(args)
-    report = ate(gt, est, assoc)
+    report = _cli.ate(gt, est, assoc)
     print(f"compared_pairs      {len(assoc)}")
     print(f"ate.rmse            {report.rmse:.6f} m")
     print(f"ate.mean            {report.mean:.6f} m")
@@ -82,13 +104,13 @@ def _cmd_ate(args) -> int:
             "median": report.median,
         }
         with open(args.json, "w", encoding="utf-8") as fp:
-            fp.write(dump_json(doc))
+            fp.write(_cli.dump_json(doc))
     return EXIT_OK
 
 
 def _cmd_rpe(args) -> int:
     gt, est, assoc = _load_pair(args)
-    report = rpe(gt, est, assoc, args.delta, args.mode, allow_large=args.allow_large)
+    report = _cli.rpe(gt, est, assoc, args.delta, args.mode, allow_large=args.allow_large)
     rot_deg = math.degrees(report.rot_mean)
     print(f"compared_pairs      {len(report.per_pair_trans)} (mode={report.mode})")
     print(f"rpe.trans_rmse      {report.trans_rmse:.6f} m")
@@ -105,17 +127,17 @@ def _cmd_rpe(args) -> int:
             "rot_mean_deg": rot_deg,
         }
         with open(args.json, "w", encoding="utf-8") as fp:
-            fp.write(dump_json(doc))
+            fp.write(_cli.dump_json(doc))
     return EXIT_OK
 
 
 def _cmd_stats(args) -> int:
     rows = []
     for path in args.files:
-        traj = resample_stride(load_tum(path), args.stride)
-        rows.append((traj.traj_id or path, sequence_stats(traj)))
+        traj = _cli.resample_stride(load_tum(path), args.stride)
+        rows.append((traj.traj_id or path, _cli.sequence_stats(traj)))
     if len(rows) > 1:
-        rows.append(("(cohort mean)", cohort_stats([stats for _, stats in rows])))
+        rows.append(("(cohort mean)", _cli.cohort_stats([stats for _, stats in rows])))
 
     header = f"{'dataset':<28} {'m.vel.p.f':>12} {'m.ang.v.p.f':>12} {'m.frames':>10}"
     print(header)
@@ -128,7 +150,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    manifest = load_manifest(args.manifest)
+    manifest = _cli.load_manifest(args.manifest)
     if args.stride is not None:
         manifest = replace(manifest, options=replace(manifest.options, stride=args.stride))
     options = manifest.options
@@ -140,9 +162,9 @@ def _cmd_batch(args) -> int:
             jobs = int(env)
         except ValueError:
             raise ValidationError(f"SLAMEVAL_JOBS must be an integer, got {env!r}") from None
-    outcome = run_batch(manifest, jobs=jobs)
+    outcome = _cli.run_batch(manifest, jobs=jobs)
 
-    files = write_report_bundle(outcome, options, args.out, svg=args.svg)
+    files = _cli.write_report_bundle(outcome, options, args.out, svg=args.svg)
     for failure in outcome.failures:
         print(f"failure: {failure.sequence_id}: {failure.path}: {failure.error}", file=sys.stderr)
     print(f"evaluated {outcome.evaluated_count} of {len(manifest.entries)} sequences")
@@ -169,14 +191,14 @@ def _parse_vec3(text: str, name: str) -> tuple[float, float, float]:
 
 
 def _cmd_synth(args) -> int:
-    gt = random_trajectory(args.seed, args.frames, args.step_mean, args.turn_mean)
+    gt = _cli.random_trajectory(args.seed, args.frames, args.step_mean, args.turn_mean)
     global_transform = None
     if args.offset is not None:
         t = _parse_vec3(args.offset, "--offset")
-        global_transform = Pose(
-            Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw), np.array(t)
+        global_transform = _cli.Pose(
+            _cli.Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw), np.array(t)
         )
-    spec = PerturbationSpec(
+    spec = _cli.PerturbationSpec(
         global_transform=global_transform,
         drift_per_frame=_parse_vec3(args.drift, "--drift"),
         drift_rot_per_frame=args.drift_rot,
@@ -185,7 +207,7 @@ def _cmd_synth(args) -> int:
         dropout_fraction=args.dropout,
         seed=args.seed,
     )
-    est = perturb(gt, spec)
+    est = _cli.perturb(gt, spec)
     save_tum(gt, args.gt_out)
     save_tum(est, args.est_out)
     print(f"wrote {args.gt_out} ({len(gt)} poses) and {args.est_out} ({len(est)} poses)")

@@ -47,7 +47,7 @@ from .geom3d import (
     quat_mul,
     quat_rotate,
 )
-from .trajio import Association
+from .trajio import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, Association
 
 __all__ = [
     "AteReport",
@@ -59,9 +59,6 @@ __all__ = [
     "RPE_MODE_ALL_PAIRS",
     "ALL_PAIRS_DEFAULT_CAP",
 ]
-
-RPE_MODE_FIXED = "fixed-delta"
-RPE_MODE_ALL_PAIRS = "all-pairs"
 
 # All-pairs cost is O(n^2); refuse huge sequences unless asked.
 ALL_PAIRS_DEFAULT_CAP = 2000

@@ -37,10 +37,17 @@ __all__ = [
     "associate_by_index",
     "associate_runs",
     "DEFAULT_MAX_TIME_DIFF",
+    "RPE_MODE_FIXED",
+    "RPE_MODE_ALL_PAIRS",
 ]
 
 # Under one frame interval of a 30 Hz sensor.
 DEFAULT_MAX_TIME_DIFF = 0.02
+
+# The pairs RPE scores (see metrics), named beside the association default so
+# that a command-line parser can offer them without loading the metrics.
+RPE_MODE_FIXED = "fixed-delta"
+RPE_MODE_ALL_PAIRS = "all-pairs"
 
 # Rows per block of written text (about 60 KiB), so writing holds one block, not the file.
 _BLOCK_ROWS = 512

@@ -9,6 +9,7 @@ import pytest
 from slameval import batch
 from slameval.cli import EXIT_BAD_INPUT, EXIT_EMPTY_ASSOCIATION, EXIT_OK, main
 from slameval.geom3d import Trajectory
+from slameval.metrics import ate
 from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate, load_tum, save_tum
 
@@ -149,6 +150,22 @@ def test_huge_quaternion_reports_its_norm_without_warning(tmp_path):
     )
     assert proc.returncode == EXIT_BAD_INPUT
     assert proc.stderr == "error: line 1: quaternion norm 1e+200 outside [0.9, 1.1]\n"
+
+
+@pytest.mark.parametrize("scale", [1e306, 1e307])
+def test_ate_of_a_path_near_the_float_limit_is_zero(tmp_path, capsys, scale):
+    # at 1e307 m the 60 positions sum beyond the float range; their centroid does not
+    g = random_trajectory(seed=207, n=60, step_mean=0.006, turn_mean=0.02)
+    g = Trajectory.from_arrays(g.t, g.xyz * scale, g.q)
+    path = tmp_path / "g.txt"
+    save_tum(g, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = ate(g, g, associate(g, g))
+        code = main(["ate", str(path), str(path)])
+    assert (report.rmse, report.mean, report.median) == (0.0, 0.0, 0.0)
+    assert code == EXIT_OK
+    assert "ate.rmse            0.000000 m" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("jobs", ["x", "0", "-2", ""])

@@ -262,3 +262,21 @@ def test_segment_kernels_give_each_segment_its_one_segment_bits(mode, delta):
         assert (report.trans_rmse, report.rot_mean) == (trans[k], rot_mean[k])
         pair_lo = pair_hi
     assert pair_lo == len(err_t)
+
+
+def test_a_segment_summing_beyond_the_float_range_keeps_its_neighbours_bits():
+    # the second segment's coordinates sum past 1.8e308; its centroid is finite
+    rng = np.random.default_rng(61)
+    gt = random_pose_trajectory(rng, 40, trans_scale=1.0).xyz
+    est = random_pose_trajectory(rng, 40).xyz
+    huge = (gt + 2.0) * 1e307
+    assert huge.min() > np.finfo(float).max / 40
+    counts = np.array([40, 40])
+    rot_m, t, residuals, rmse = horn_align_segments(np.vstack([gt, huge]),
+                                                    np.vstack([est, huge]), counts)
+    alone = horn_align(gt, est)
+    assert np.array_equal(alone.rotation_matrix, rot_m[0])
+    assert np.array_equal(alone.translation, t[0])
+    assert np.array_equal(alone.residuals, residuals[:40]) and alone.rmse_after == rmse[0]
+    assert np.isfinite(t[1]).all()
+    assert not residuals[40:].any() and rmse[1] == 0.0

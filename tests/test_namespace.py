@@ -1,4 +1,5 @@
-"""The lazy package namespace and the CLI's single-threaded BLAS default.
+"""The lazy package namespace, the modules each CLI command loads and the
+CLI's single-threaded BLAS default.
 
 Each check runs in a fresh interpreter, since the test process has long
 imported numpy and the whole package.
@@ -11,6 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from slameval.synth import PerturbationSpec, random_trajectory
+
+from conftest import build_synth_cohort
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,6 +88,36 @@ def test_cli_keeps_a_preset_blas_thread_count():
 def test_library_import_leaves_blas_threads_alone():
     code = "import os, slameval.trajio; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
     assert _run(code, OPENBLAS_NUM_THREADS=None).strip() == "None"
+
+
+# the modules every command loads: the CLI, its errors and TUM reading and writing
+_BASE = ["cli", "errors", "geom3d", "trajio"]
+_EVALUATE = ["align", "batch", "cohort", "metrics", "trajstats"]
+
+
+@pytest.mark.parametrize("argv, own", [
+    (["synth", "--gt-out", "{d}/g.txt", "--est-out", "{d}/e.txt", "--frames", "50",
+      "--offset", "1,2,3", "--dropout", "0.1"], ["synth"]),
+    (["stats", "{d}/gt/a.txt"], ["trajstats"]),
+    (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt"], _EVALUATE),
+    (["rpe", "{d}/gt/a.txt", "{d}/est/a_run0.txt"], _EVALUATE),
+    (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/a.json"],
+     _EVALUATE + ["report", "svgplot"]),
+    (["batch", "{d}/manifest.json", "--out", "{d}/r", "--svg"], _EVALUATE + ["report", "svgplot"]),
+], ids=["synth", "stats", "ate", "rpe", "ate-json", "batch"])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
+    gt = random_trajectory(seed=210, n=50, step_mean=0.006, turn_mean=0.02)
+    build_synth_cohort(tmp_path, [("a", gt, [PerturbationSpec(noise_sigma_trans=0.001)])])
+    argv = [arg.format(d=tmp_path) for arg in argv]
+    out = _run(
+        "import json, sys\n"
+        "from slameval.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('slameval.'))]))\n"
+    )
+    code, loaded = json.loads(out.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(f"slameval.{m}" for m in _BASE + own)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
