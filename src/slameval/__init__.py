@@ -10,8 +10,6 @@ and no numpy; each name below is imported from its home module on first
 use. So ``slameval.cli`` can configure the process before numpy loads.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # home module -> the names re-exported from it
@@ -37,18 +35,28 @@ _EXPORTS = {
     ],
     "trajstats": ["SequenceStats", "cohort_stats", "resample_stride", "sequence_stats"],
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = ["__version__", *_HOME]
+__all__ = ["__version__", *(name for names in _EXPORTS.values() for name in names)]
 
 
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy_getattr(namespace: dict, exports: dict[str, list[str]]):
+    """A PEP 562 module ``__getattr__`` for the module whose globals are namespace:
+    each name of exports (home module -> names) is imported from its home module
+    in this package on first use and kept in namespace. It imports through
+    __import__, which -X importtime reports (importlib.import_module is not)."""
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy_getattr(globals(), _EXPORTS)
 
 
 def __dir__() -> list[str]:

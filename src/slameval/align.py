@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Pose, Rotation, _segment_means
+from .geom3d import (Pose, Rotation, _segment_means, quat_from_axis_angle, quat_normalize,
+                     quat_to_matrix)
 
 __all__ = ["AlignmentResult", "horn_align", "horn_align_segments"]
 
@@ -53,27 +54,29 @@ def _as_points(a, name: str) -> np.ndarray:
 
 
 def _minimal_rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Smallest-angle rotation matrix taking direction a to direction b."""
+    """Smallest-angle rotation matrix taking direction a to direction b; the
+    identity when a direction is zero or its norm overflows, as a segment of
+    three or more points takes R = I when its cross-covariance overflows."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    if not (0.0 < na < math.inf and 0.0 < nb < math.inf):
         return np.eye(3)
     a = a / na
     b = b / nb
     axis = np.cross(a, b)
     s = np.linalg.norm(axis)
     c = float(np.dot(a, b))
-    if s < 1e-15:
-        if c > 0.0:
-            return np.eye(3)
+    if s >= 1e-15:
+        angle = math.atan2(s, c)
+    elif c > 0.0:
+        return np.eye(3)
+    else:
         # Antiparallel: rotate pi about any axis perpendicular to a.
-        perp = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(perp) < 1e-12:
-            perp = np.cross(a, [0.0, 1.0, 0.0])
-        perp = perp / np.linalg.norm(perp)
-        return Rotation.from_axis_angle(perp, math.pi).matrix
-    axis = axis / s
-    angle = math.atan2(s, c)
-    return Rotation.from_axis_angle(axis, angle).matrix
+        angle = math.pi
+        axis = np.cross(a, [1.0, 0.0, 0.0])
+        if np.linalg.norm(axis) < 1e-12:
+            axis = np.cross(a, [0.0, 1.0, 0.0])
+    axis = axis / np.linalg.norm(axis)
+    return quat_to_matrix(quat_normalize(quat_from_axis_angle(axis, angle)))
 
 
 def horn_align(gt_points, est_points) -> AlignmentResult:

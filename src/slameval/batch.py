@@ -59,12 +59,12 @@ from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, 
 from .errors import SlamEvalError, ValidationError
 from .geom3d import Trajectory
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _all_pairs_refusal, rpe_segments
-from .trajio import (DEFAULT_MAX_TIME_DIFF, associate, associate_by_index, associate_runs,
-                     load_tum)
+from .trajio import DEFAULT_MAX_TIME_DIFF, associate_runs, load_tum
 from .trajstats import resample_stride, segment_stats
 
 # per-run layers that perfbench/tracer.py wraps at these names; batches score whole shares
 from .metrics import ate, rpe  # noqa: F401
+from .trajio import associate  # noqa: F401
 from .trajstats import sequence_stats  # noqa: F401
 
 __all__ = [
@@ -75,7 +75,6 @@ __all__ = [
     "BatchOutcome",
     "load_manifest",
     "run_batch",
-    "associate_run",
     "MANIFEST_SCHEMA_VERSION",
 ]
 
@@ -202,19 +201,14 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest(tuple(entries), options, version)
 
 
-def associate_run(gt: Trajectory, est: Trajectory, max_time_diff: float, by_index: bool):
-    """A run's pose pairs: by index identity, else by timestamps within max_time_diff."""
-    return associate_by_index(gt, est) if by_index else associate(gt, est, max_time_diff)
-
-
 def _share_pairs(runs: list[tuple[Trajectory, Trajectory]], options: BatchOptions):
     """The pose pairs of ``associate_runs`` over all runs (gt, est), at the evaluated stride.
 
     Each run is associated whole; at stride s the pairs on every s-th gt
     pose are kept, their gt index into the gt resampled at stride s, so a
     dropped estimate frame cannot shift the estimate out of phase with the
-    stride. Every run gets exactly the pairs that
-    ``associate_run(gt, est, ...).strided(s)`` gives it alone.
+    stride. Every run gets exactly the pairs that ``associate(gt, est,
+    max_time_diff).strided(s)`` (or ``associate_by_index``) gives it alone.
     """
     run, gi, ej, failed = associate_runs(runs, options.max_time_diff,
                                          options.index_identity_association)

@@ -27,36 +27,25 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 
-from . import __version__  # noqa: E402
+from . import __version__, _lazy_getattr  # noqa: E402
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError  # noqa: E402
 from .trajio import (DEFAULT_MAX_TIME_DIFF, RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED,  # noqa: E402
-                     load_tum, save_tum)
+                     associate, associate_by_index, load_tum, save_tum)
 
 # Every other name a command runs is imported from its home module on first
 # use (PEP 562), so each command loads only the modules it runs. Commands
 # reach these names through ``_cli``: a bare global name never reaches the
 # module __getattr__, and a name replaced on this module (as the tracer of
 # perfbench does) is called as replaced.
-_LAZY = {
-    "batch": ["associate_run", "load_manifest", "run_batch"],
+__getattr__ = _lazy_getattr(globals(), {
+    "batch": ["load_manifest", "run_batch"],
     "geom3d": ["Pose", "Rotation"],
     "metrics": ["ate", "rpe"],
     "report": ["dump_json", "write_report_bundle"],
     "synth": ["PerturbationSpec", "perturb", "random_trajectory"],
     "trajstats": ["cohort_stats", "resample_stride", "sequence_stats"],
-}
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
+})
 _cli = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # through __import__, which -X importtime reports (importlib.import_module is not)
-    value = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
-    globals()[name] = value
-    return value
 
 
 EXIT_OK = 0
@@ -84,7 +73,8 @@ def _add_pair_arguments(p: argparse.ArgumentParser) -> None:
 def _load_pair(args):
     gt = load_tum(args.gt)
     est = load_tum(args.est)
-    return gt, est, _cli.associate_run(gt, est, args.max_diff, args.index_assoc)
+    return gt, est, (associate_by_index(gt, est) if args.index_assoc
+                     else associate(gt, est, args.max_diff))
 
 
 def _cmd_ate(args) -> int:
@@ -191,6 +181,8 @@ def _parse_vec3(text: str, name: str) -> tuple[float, float, float]:
 
 
 def _cmd_synth(args) -> int:
+    if not math.isfinite(args.offset_yaw):
+        raise ValidationError(f"--offset-yaw expects a finite number, got {args.offset_yaw!r}")
     gt = _cli.random_trajectory(args.seed, args.frames, args.step_mean, args.turn_mean)
     global_transform = None
     if args.offset is not None:

@@ -209,17 +209,19 @@ def success_rate(
     return ok / len(results)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with ties receiving the average of their positions.
 
     A tie group runs on while each sorted value exceeds the one before it
     by at most TIE_RTOL of its magnitude, so values equal up to rounding
-    share one rank.
+    share one rank. Equal infinities tie; no finite value ties with one.
     """
     a = np.asarray(values, dtype=float)
     order = np.argsort(a, kind="stable")
     s = a[order]
-    steps = s[1:] - s[:-1] > TIE_RTOL * np.abs(s[1:])
+    # the step between equal infinities is NaN, a tie; the tolerance of an infinity is capped
+    steps = s[1:] - s[:-1] > np.minimum(TIE_RTOL * np.abs(s[1:]), np.finfo(float).max)
     starts = np.flatnonzero(np.concatenate([[True], steps]))
     ends = np.append(starts[1:], len(s))  # 1-based position of each tie group's last value
     sizes = ends - starts

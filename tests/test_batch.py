@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from slameval import batch
-from slameval.batch import BatchOptions, associate_run, load_manifest, run_batch
+from slameval.batch import BatchOptions, load_manifest, run_batch
 from slameval.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from slameval.errors import EmptyAssociationError, SlamEvalError, ValidationError
 from slameval.geom3d import Trajectory
@@ -397,7 +397,7 @@ def test_batch_runs_score_as_the_pair_commands_do(tmp_path):
                 continue
             record = next(records)
             try:
-                assoc = associate_run(gt, est, options.max_time_diff, False).strided(2)
+                assoc = associate(gt, est, options.max_time_diff).strided(2)
             except EmptyAssociationError:
                 assert record.tracked_fraction == 0.0
                 continue
@@ -604,17 +604,19 @@ def test_batch_records_a_tolerance_spanning_everything_as_a_failure(tmp_path):
 def test_finite_but_huge_coordinates_end_in_a_bundle(tmp_path, capsys):
     # an estimate at about 1e160 m overflows its ATE to inf; one at 3e154 m overflows
     # the sum of its squared residuals, not their mean; a ground truth and estimate
-    # at about 1e200 m overflow their cross-covariance
+    # at about 1e200 m overflow their cross-covariance, and with two poses, the norm
+    # of their one step
     path = _small_cohort(tmp_path, n_seq=5, runs=1, frames=40)
     alone = tmp_path / "alone.json"
     alone.write_text(path.read_text())
     doc = json.loads(path.read_text())
     gt = random_trajectory(seed=190, n=40, step_mean=0.006, turn_mean=0.02)
     est = perturb(gt, PerturbationSpec(noise_sigma_trans=0.002, seed=191))
-    for name, gt_scale, est_scale in (("far_est", 1.0, 1e160), ("far_sum", 1.0, 3e154),
-                                      ("far_pair", 1e200, 1e200)):
+    for name, gt_scale, est_scale, n in (("far_est", 1.0, 1e160, 40), ("far_sum", 1.0, 3e154, 40),
+                                         ("far_pair", 1e200, 1e200, 40),
+                                         ("far_two", 1e200, 1e200, 2)):
         for side, traj, scale in (("gt", gt, gt_scale), ("est", est, est_scale)):
-            save_tum(Trajectory.from_arrays(traj.t, traj.xyz * scale, traj.q),
+            save_tum(Trajectory.from_arrays(traj.t[:n], traj.xyz[:n] * scale, traj.q[:n]),
                      tmp_path / f"{side}/{name}.txt")
         doc["sequences"].append({"sequence_id": name, "gt_path": f"gt/{name}.txt",
                                  "estimate_paths": [f"est/{name}.txt"]})
@@ -623,17 +625,20 @@ def test_finite_but_huge_coordinates_end_in_a_bundle(tmp_path, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["batch", str(path), "--out", str(tmp_path / "report")]) == EXIT_OK
         capsys.readouterr()
-        far_pair = [str(tmp_path / f"{side}/far_pair.txt") for side in ("gt", "est")]
-        assert main(["ate", *far_pair]) == EXIT_OK
-    assert "ate.rmse            inf m" in capsys.readouterr().out
+        for name in ("far_pair", "far_two"):
+            pair = [str(tmp_path / f"{side}/{name}.txt") for side in ("gt", "est")]
+            assert main(["ate", *pair]) == EXIT_OK
+            assert "ate.rmse            inf m" in capsys.readouterr().out
+            assert main(["rpe", *pair]) == EXIT_OK
 
     summary = json.loads((tmp_path / "report/summary.json").read_text())
     manifest = load_manifest(alone)
     expected = json.loads(dump_json(summary_to_dict(run_batch(manifest), manifest.options)))
     # the other runs' numbers hold bit for bit; the overflowed ATEs are written as null
     assert summary["sequences"][:5] == expected["sequences"]
-    far_est, far_sum, far_pair = (seq["median"]["ate_rmse"] for seq in summary["sequences"][5:])
-    assert far_est is None and far_pair is None and 2e153 < far_sum < 3e153
+    far_est, far_sum, far_pair, far_two = (seq["median"]["ate_rmse"]
+                                           for seq in summary["sequences"][5:])
+    assert far_est is None and far_pair is None and far_two is None and 2e153 < far_sum < 3e153
 
 
 def test_durations_beyond_half_the_float_range_average_in_batch_and_stats(tmp_path, capsys):

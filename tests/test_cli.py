@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from slameval import batch
+from slameval import trajio
 from slameval.cli import EXIT_BAD_INPUT, EXIT_EMPTY_ASSOCIATION, EXIT_OK, main
 from slameval.geom3d import Trajectory
 from slameval.metrics import ate
@@ -84,13 +84,17 @@ def test_index_association_ignores_shifted_stamps(traj_files, tmp_path, capsys):
 
 
 def test_pair_commands_associate_through_the_batch_choice(traj_files, monkeypatch, capsys):
+    # ate and rpe match their pair with trajio.associate_runs, as a batch matches its runs
     gt_path, drift_path = traj_files
     calls = []
-    monkeypatch.setattr(batch, "associate", lambda *args: calls.append(args) or associate(*args))
+    kernel = trajio.associate_runs
+    monkeypatch.setattr(trajio, "associate_runs",
+                        lambda *args, **kw: calls.append(args) or kernel(*args, **kw))
     for command in ("ate", "rpe"):
-        assert main([command, str(gt_path), str(drift_path)]) == EXIT_OK
+        for flags in ([], ["--index-assoc"]):
+            assert main([command, str(gt_path), str(drift_path), *flags]) == EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("command", ["ate", "rpe"])
@@ -240,6 +244,7 @@ def test_nan_max_diff_is_bad_input(traj_files, capsys, command):
     ["--seed", "-1"],
     ["--step-mean", "1e308"],
     ["--drift", "1e308,0,0"],
+    ["--offset", "0,0,0", "--offset-yaw", "inf"],  # cos(inf) must not warn either
 ])
 def test_synth_rejects_non_finite_numbers(tmp_path, capsys, flags):
     gt_out, est_out = tmp_path / "gt.txt", tmp_path / "est.txt"

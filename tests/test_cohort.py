@@ -234,6 +234,14 @@ def test_spearman_treats_rounding_noise_as_a_tie():
     assert spearman([1.0, 1.0 + 1e-8, 1.0 + 2e-8], [0.1, 0.2, 0.3]) == 1.0
 
 
+def test_spearman_orders_infinities_after_every_finite_value():
+    # a path length that overflowed is longer than every finite one; equal infinities tie
+    assert spearman([1.0, math.inf, 2.0, 3.0], [0.1, 0.4, 0.2, 0.3]) == 1.0
+    rho = spearman([1.0, math.inf, 2.0, math.inf], [1.0, 3.0, 2.0, 4.0])
+    assert abs(rho - spearman([1.0, 3.5, 2.0, 3.5], [1.0, 3.0, 2.0, 4.0])) <= 1e-15
+    assert spearman([-math.inf, -1.7e308, 1.7e308], [0.1, 0.2, 0.3]) == 1.0
+
+
 # ---------------------------------------------------------------------------
 # summarize
 # ---------------------------------------------------------------------------
