@@ -201,41 +201,27 @@ def load_manifest(path: str | Path) -> RunManifest:
     return RunManifest(tuple(entries), options, version)
 
 
-def _share_pairs(runs: list[tuple[Trajectory, Trajectory]], options: BatchOptions):
-    """The pose pairs of ``associate_runs`` over all runs (gt, est), at the evaluated stride.
-
-    Each run is associated whole; at stride s the pairs on every s-th gt
-    pose are kept, their gt index into the gt resampled at stride s, so a
-    dropped estimate frame cannot shift the estimate out of phase with the
-    stride. Every run gets exactly the pairs that ``associate(gt, est,
-    max_time_diff).strided(s)`` (or ``associate_by_index``) gives it alone.
-    """
-    run, gi, ej, failed = associate_runs(runs, options.max_time_diff,
-                                         options.index_identity_association)
-    keep = gi % options.stride == 0
-    return run[keep], gi[keep] // options.stride, ej[keep], failed
-
-
 def _stack(trajectories: list[Trajectory], name: str) -> np.ndarray:
     return np.concatenate([getattr(t, name) for t in trajectories])
 
 
-def _starts(trajectories: list[Trajectory]) -> np.ndarray:
-    """The row of each trajectory's first pose in their concatenation."""
-    lengths = np.array([len(t) for t in trajectories])
-    return np.cumsum(lengths) - lengths
-
-
-def _score_runs(runs: list[tuple[Trajectory, Trajectory]],
+def _score_runs(runs: list[tuple[Trajectory, Trajectory]], seq: np.ndarray, gt_xyz: np.ndarray,
+                gt_q: np.ndarray, gt_lengths: np.ndarray,
                 options: BatchOptions) -> list[MetricRecord | str]:
     """Each run's metrics, or the message of the error that failed it.
 
-    One ATE pass and one RPE pass score every run (gt, est) that has
-    pairs; a run without pairs is a tracking failure with NaN metrics.
+    Run r is (gt, est) at full rate; segment seq[r] of the strided gt stack
+    (gt_xyz, gt_q, gt_lengths) is its gt. The pairs on every s-th gt pose
+    are kept, as by ``Association.strided``, so dropped estimate frames
+    cannot shift a run out of phase. One ATE and one RPE pass score every
+    run with pairs; a run without pairs is a tracking failure (NaN metrics).
     """
     failed_record = MetricRecord(math.nan, math.nan, math.nan, 0.0)
     records: list[MetricRecord | str] = [failed_record] * len(runs)
-    run, gi, ej, failed = _share_pairs(runs, options)
+    run, gi, ej, failed = associate_runs(runs, options.max_time_diff,
+                                         options.index_identity_association)
+    keep = gi % options.stride == 0
+    run, gi, ej = run[keep], gi[keep] // options.stride, ej[keep]
     counts = np.bincount(run, minlength=len(runs))
     if options.rpe_mode == RPE_MODE_ALL_PAIRS:
         for r, n in enumerate(counts.tolist()):
@@ -250,17 +236,19 @@ def _score_runs(runs: list[tuple[Trajectory, Trajectory]],
     if not len(scored):
         return records
 
-    gts, ests = [gt for gt, _ in runs], [est for _, est in runs]
-    rows_gt = _starts(gts)[run] + gi * options.stride
-    rows_est = _starts(ests)[run] + ej
-    gt_xyz, est_xyz = _stack(gts, "xyz")[rows_gt], _stack(ests, "xyz")[rows_est]
+    ests = [est for _, est in runs]
+    est_lengths = np.array([len(est) for est in ests])
+    # the row of a pair's poses: its segment's first row in the stack, plus its index
+    rows_gt = (np.cumsum(gt_lengths) - gt_lengths)[seq[run]] + gi
+    rows_est = (np.cumsum(est_lengths) - est_lengths)[run] + ej
+    gt_xyz, est_xyz = gt_xyz[rows_gt], _stack(ests, "xyz")[rows_est]
     n = counts[scored]
     ate_rmse = horn_align_segments(gt_xyz, est_xyz, n)[3]
-    rpe_t, rpe_r, _, _ = rpe_segments(_stack(gts, "q")[rows_gt], _stack(ests, "q")[rows_est],
+    rpe_t, rpe_r, _, _ = rpe_segments(gt_q[rows_gt], _stack(ests, "q")[rows_est],
                                       gt_xyz, est_xyz, n, options.rpe_delta, options.rpe_mode)
-    for r, k, a, t, rot in zip(scored.tolist(), n.tolist(), ate_rmse, rpe_t, rpe_r):
-        strided_len = len(range(0, len(gts[r]), options.stride))
-        records[r] = MetricRecord(a, t, rot, k / strided_len)
+    for r, k, a, t, rot, m in zip(scored.tolist(), n.tolist(), ate_rmse, rpe_t, rpe_r,
+                                  gt_lengths[seq[scored]].tolist()):
+        records[r] = MetricRecord(a, t, rot, k / m)
     return records
 
 
@@ -282,13 +270,18 @@ def _read_entry(entry: SequenceEntry):
 
 def _evaluate_block(block: list, options: BatchOptions) -> list:
     """The results of entries read by ``_read_entry``: one ``segment_stats`` pass
-    over the strided ground truths and ``_score_runs`` over all the runs."""
-    gts = [resample_stride(gt, options.stride) for _, gt, _ in block if gt is not None]
-    runs = [(gt, item[1]) for _, gt, items in block for item in items
-            if not isinstance(item, Failure)]
-    stats = iter(segment_stats(*(_stack(gts, name) for name in ("t", "xyz", "q")),
-                               np.array([len(gt) for gt in gts])) if gts else ())
-    records = iter(_score_runs(runs, options) if runs else ())
+    and ``_score_runs`` over all the runs read one stack of the strided gts."""
+    read = [(gt, [item[1] for item in items if not isinstance(item, Failure)])
+            for _, gt, items in block if gt is not None]
+    runs = [(gt, est) for gt, ests in read for est in ests]
+    if not runs:  # every item is a Failure: nothing to score
+        return [(None, items) for _, _, items in block]
+    gts = [resample_stride(gt, options.stride) for gt, _ in read]
+    seq = np.repeat(np.arange(len(read)), [len(ests) for _, ests in read])
+    t, xyz, q = (_stack(gts, name) for name in ("t", "xyz", "q"))
+    lengths = np.array([len(gt) for gt in gts])
+    stats = iter(segment_stats(t, xyz, q, lengths))
+    records = iter(_score_runs(runs, seq, xyz, q, lengths, options))
 
     evaluated = []
     for entry, gt, items in block:

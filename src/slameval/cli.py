@@ -40,7 +40,7 @@ from .trajio import (DEFAULT_MAX_TIME_DIFF, RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, 
 __getattr__ = _lazy_getattr(globals(), {
     "batch": ["load_manifest", "run_batch"],
     "geom3d": ["Pose", "Rotation"],
-    "metrics": ["ate", "rpe"],
+    "metrics": ["_all_pairs_refusal", "ate", "rpe"],
     "report": ["dump_json", "write_report_bundle"],
     "synth": ["PerturbationSpec", "perturb", "random_trajectory"],
     "trajstats": ["cohort_stats", "resample_stride", "sequence_stats"],
@@ -100,6 +100,9 @@ def _cmd_ate(args) -> int:
 
 def _cmd_rpe(args) -> int:
     gt, est, assoc = _load_pair(args)
+    if args.mode == RPE_MODE_ALL_PAIRS and not args.allow_large and (
+            refusal := _cli._all_pairs_refusal(len(assoc), "--allow-large")):
+        raise ValidationError(refusal)
     report = _cli.rpe(gt, est, assoc, args.delta, args.mode, allow_large=args.allow_large)
     rot_deg = math.degrees(report.rot_mean)
     print(f"compared_pairs      {len(report.per_pair_trans)} (mode={report.mode})")

@@ -166,10 +166,12 @@ def rpe_segments(gt_q, est_q, gt_xyz, est_xyz, counts: np.ndarray, delta: int, m
     return trans, _segment_means(err_r, m), err_t, err_r
 
 
-def _all_pairs_refusal(n: int) -> str | None:
-    """The error of all-pairs RPE over n > ALL_PAIRS_DEFAULT_CAP associated pairs, else None."""
-    return (f"all-pairs RPE over {n} poses exceeds the cap of {ALL_PAIRS_DEFAULT_CAP}; "
-            "pass allow_large=True to override") if n > ALL_PAIRS_DEFAULT_CAP else None
+def _all_pairs_refusal(n: int, override: str = "") -> str | None:
+    """The error of all-pairs RPE over n pairs above the cap, naming override if given, or None."""
+    if n <= ALL_PAIRS_DEFAULT_CAP:
+        return None
+    cap = f"all-pairs RPE over {n} poses exceeds the cap of {ALL_PAIRS_DEFAULT_CAP}"
+    return f"{cap}; pass {override} to override" if override else cap
 
 
 def rpe(
@@ -202,7 +204,7 @@ def rpe(
                 f"delta must satisfy 1 <= delta < {n} (associated pairs), got {delta}"
             )
     else:
-        if not allow_large and (refusal := _all_pairs_refusal(n)):
+        if not allow_large and (refusal := _all_pairs_refusal(n, "allow_large=True")):
             raise ValidationError(refusal)
         delta = 0
     gi, ei = assoc.gt_indices, assoc.est_indices

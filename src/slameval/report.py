@@ -29,7 +29,6 @@ import shutil
 from dataclasses import asdict
 from pathlib import Path
 
-from .batch import BatchOptions, BatchOutcome, MANIFEST_SCHEMA_VERSION
 from .cohort import METRIC_FIELDS, MetricRecord, SequenceResult
 from .svgplot import bar_chart, cdf_chart
 from .trajstats import SequenceStats, cohort_stats
@@ -94,6 +93,8 @@ def _sequence_to_dict(result: SequenceResult) -> dict:
 
 def summary_to_dict(outcome: BatchOutcome, options: BatchOptions) -> dict:
     """The summary.json payload for a batch outcome."""
+    from .batch import MANIFEST_SCHEMA_VERSION  # here: the pair commands' dump_json needs no batch
+
     summary = outcome.summary
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,

@@ -540,27 +540,27 @@ def test_batch_stride_option(tmp_path):
 
 @pytest.mark.parametrize("stride", [2, 3])
 @pytest.mark.parametrize("by_index", [False, True])
-def test_stride_keeps_estimates_with_gaps_in_phase(tmp_path, monkeypatch, stride, by_index):
+def test_stride_keeps_estimates_with_gaps_in_phase(tmp_path, stride, by_index):
     gt = random_trajectory(seed=130, n=3000, step_mean=0.006, turn_mean=0.02)
     spec = PerturbationSpec(noise_sigma_trans=0.002, dropout_fraction=0.05, seed=131)
     path = build_synth_cohort(tmp_path, [("gap", gt, [spec])])
     doc = json.loads(path.read_text())
     doc["options"] = {"stride": stride, "index_identity_association": by_index}
     path.write_text(json.dumps(doc))
-
-    seen = []
-    share_pairs = batch._share_pairs
-    monkeypatch.setattr(batch, "_share_pairs",
-                        lambda runs, options: seen.append(share_pairs(runs, options)) or seen[-1])
     outcome = run_batch(load_manifest(path))
 
     gt = load_tum(tmp_path / "gt/gap.txt")
     est = load_tum(tmp_path / "est/gap_run0.txt")
     full = associate_by_index(gt, est) if by_index else associate(gt, est, 0.02)
     kept = {(i // stride, j) for i, j in full.pairs if i % stride == 0}
-    ((run, gt_indices, est_indices, failed),) = seen
-    assert list(zip(gt_indices.tolist(), est_indices.tolist())) == sorted(kept)
-    assert not run.any() and failed == {}
+    strided = full.strided(stride)
+    assert list(strided.pairs) == sorted(kept)
+    # the run is scored on exactly these pairs: its numbers are those of the single-run calls
+    (record,) = outcome.summary.results[0].runs
+    gt_strided = resample_stride(gt, stride)
+    single = rpe(gt_strided, est, strided)
+    assert record.ate_rmse == ate(gt_strided, est, strided).rmse
+    assert (record.rpe_trans, record.rpe_rot) == (single.trans_rmse, single.rot_mean)
     tracked = outcome.summary.results[0].median_record.tracked_fraction
     assert tracked == len(kept) / len(resample_stride(gt, stride))
     if not by_index:
@@ -671,8 +671,27 @@ def test_batch_records_the_all_pairs_refusal_of_rpe(tmp_path):
     gt, est = (load_tum(tmp_path / name) for name in ("gt/n2001.txt", "est/n2001_run0.txt"))
     with pytest.raises(ValidationError) as err:
         rpe(gt, est, associate(gt, est), mode="all-pairs")
-    assert [(f.sequence_id, f.error) for f in outcome.failures] == [("n2001", str(err.value))]
+    cap = str(err.value).partition(";")[0]  # a manifest has no override to name
+    assert [(f.sequence_id, f.error) for f in outcome.failures] == [("n2001", cap)]
     assert outcome.evaluated_count == 1
+
+
+def test_all_pairs_cap_message_names_each_callers_override(tmp_path, capsys):
+    gt = random_trajectory(seed=2001, n=2001, step_mean=0.006, turn_mean=0.02)
+    path = build_synth_cohort(tmp_path, [("a", gt, [PerturbationSpec(seed=1)])],
+                              rpe_mode="all-pairs")
+    gt_path, est_path = tmp_path / "gt/a.txt", tmp_path / "est/a_run0.txt"
+    cap = "all-pairs RPE over 2001 poses exceeds the cap of 2000"
+
+    (failure,) = run_batch(load_manifest(path)).failures
+    assert failure.error == cap
+    gt, est = load_tum(gt_path), load_tum(est_path)
+    with pytest.raises(ValidationError) as err:
+        rpe(gt, est, associate(gt, est), mode="all-pairs")
+    assert str(err.value) == f"{cap}; pass allow_large=True to override"
+    capsys.readouterr()
+    assert main(["rpe", str(gt_path), str(est_path), "--mode", "all-pairs"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", f"error: {cap}; pass --allow-large to override\n")
 
 
 def test_batch_isolates_non_utf8_files(tmp_path):

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import slameval
 from slameval import trajio
 from slameval.cli import EXIT_BAD_INPUT, EXIT_EMPTY_ASSOCIATION, EXIT_OK, main
 from slameval.geom3d import Trajectory
@@ -14,6 +17,13 @@ from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate, load_tum, save_tum
 
 from conftest import build_synth_cohort, write_manifest
+
+
+def _run_module(*args: str) -> subprocess.CompletedProcess:
+    """`python -m slameval ARGS` in a new process that imports this slameval."""
+    env = dict(os.environ, PYTHONPATH=str(Path(slameval.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "slameval", *args], env=env,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture
@@ -147,11 +157,7 @@ def test_huge_quaternion_reports_its_norm_without_warning(tmp_path):
     ok, big = tmp_path / "ok.txt", tmp_path / "big.txt"
     ok.write_text("0 0 0 0 0 0 0 1\n")
     big.write_text("0 0 0 0 1e200 0 0 1\n")
-    proc = subprocess.run(
-        [sys.executable, "-m", "slameval", "ate", str(ok), str(big)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("ate", str(ok), str(big))
     assert proc.returncode == EXIT_BAD_INPUT
     assert proc.stderr == "error: line 1: quaternion norm 1e+200 outside [0.9, 1.1]\n"
 
@@ -354,10 +360,6 @@ def test_module_invocation_smoke(tmp_path):
     gt = random_trajectory(seed=204, n=60, step_mean=0.006, turn_mean=0.02)
     path = tmp_path / "t.txt"
     save_tum(gt, path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "slameval", "ate", str(path), str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = _run_module("ate", str(path), str(path))
     assert proc.returncode == 0
     assert "ate.rmse" in proc.stdout

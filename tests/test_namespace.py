@@ -103,8 +103,8 @@ def test_library_import_leaves_blas_threads_alone():
 # the modules every command loads: the CLI, its errors and TUM reading and writing
 _BASE = ["cli", "errors", "geom3d", "trajio"]
 _PAIR = ["align", "metrics"]
-# report and the modules it imports, for its JSON writer and the report bundle
-_REPORT = ["batch", "cohort", "report", "svgplot", "trajstats"]
+# report and the modules it imports, for its JSON writer and the report bundle; not batch
+_REPORT = ["cohort", "report", "svgplot", "trajstats"]
 
 
 @pytest.mark.parametrize("argv, own", [
@@ -114,8 +114,9 @@ _REPORT = ["batch", "cohort", "report", "svgplot", "trajstats"]
     (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt"], _PAIR),
     (["rpe", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--index-assoc"], _PAIR),
     (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/a.json"], _PAIR + _REPORT),
-    (["batch", "{d}/manifest.json", "--out", "{d}/r", "--svg"], _PAIR + _REPORT),
-], ids=["synth", "stats", "ate", "rpe", "ate-json", "batch"])
+    (["rpe", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/r.json"], _PAIR + _REPORT),
+    (["batch", "{d}/manifest.json", "--out", "{d}/r", "--svg"], ["batch"] + _PAIR + _REPORT),
+], ids=["synth", "stats", "ate", "rpe", "ate-json", "rpe-json", "batch"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
     gt = random_trajectory(seed=210, n=50, step_mean=0.006, turn_mean=0.02)
     build_synth_cohort(tmp_path, [("a", gt, [PerturbationSpec(noise_sigma_trans=0.001)])])
