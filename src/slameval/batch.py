@@ -148,10 +148,10 @@ class BatchOutcome:
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    """Read and validate a manifest file."""
+    """Read and validate a manifest file (UTF-8, a leading byte-order mark dropped)."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals too long to convert; RecursionError, nesting too deep to parse

@@ -29,8 +29,9 @@ import numpy as np  # noqa: E402
 
 from . import __version__, _lazy_getattr  # noqa: E402
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError  # noqa: E402
+from .geom3d import Pose, Rotation  # noqa: E402
 from .trajio import (DEFAULT_MAX_TIME_DIFF, RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED,  # noqa: E402
-                     associate, associate_by_index, load_tum, save_tum)
+                     associate, associate_by_index, dump_json, load_tum, save_tum)
 
 # Every other name a command runs is imported from its home module on first
 # use (PEP 562), so each command loads only the modules it runs. Commands
@@ -39,9 +40,8 @@ from .trajio import (DEFAULT_MAX_TIME_DIFF, RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, 
 # perfbench does) is called as replaced.
 __getattr__ = _lazy_getattr(globals(), {
     "batch": ["load_manifest", "run_batch"],
-    "geom3d": ["Pose", "Rotation"],
     "metrics": ["_all_pairs_refusal", "ate", "rpe"],
-    "report": ["dump_json", "write_report_bundle"],
+    "report": ["write_report_bundle"],
     "synth": ["PerturbationSpec", "perturb", "random_trajectory"],
     "trajstats": ["cohort_stats", "resample_stride", "sequence_stats"],
 })
@@ -94,7 +94,7 @@ def _cmd_ate(args) -> int:
             "median": report.median,
         }
         with open(args.json, "w", encoding="utf-8") as fp:
-            fp.write(_cli.dump_json(doc))
+            fp.write(dump_json(doc))
     return EXIT_OK
 
 
@@ -120,7 +120,7 @@ def _cmd_rpe(args) -> int:
             "rot_mean_deg": rot_deg,
         }
         with open(args.json, "w", encoding="utf-8") as fp:
-            fp.write(_cli.dump_json(doc))
+            fp.write(dump_json(doc))
     return EXIT_OK
 
 
@@ -190,8 +190,8 @@ def _cmd_synth(args) -> int:
     global_transform = None
     if args.offset is not None:
         t = _parse_vec3(args.offset, "--offset")
-        global_transform = _cli.Pose(
-            _cli.Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw), np.array(t)
+        global_transform = Pose(
+            Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw), np.array(t)
         )
     spec = _cli.PerturbationSpec(
         global_transform=global_transform,

@@ -22,6 +22,7 @@ and ``relative``; a trajectory builds them as views of its rows on demand.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -216,6 +217,15 @@ def _segment_means(values: np.ndarray, counts) -> list[float]:
     ends = np.cumsum(counts).tolist()
     return [_fsum_mean(flat[b - m : b]) if m else math.nan
             for b, m in zip(ends, np.asarray(counts).tolist())]
+
+
+def _stride(value) -> int:
+    """A frame stride as an int: an integer (a numpy one too, not a bool) in
+    [1, sys.maxsize], the range ``BatchOptions`` takes; else ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
+            1 <= value <= sys.maxsize):
+        raise ValidationError(f"stride must be an integer in [1, {sys.maxsize}], got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

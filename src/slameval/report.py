@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import os
 import shutil
@@ -31,6 +30,7 @@ from pathlib import Path
 
 from .cohort import METRIC_FIELDS, MetricRecord, SequenceResult
 from .svgplot import bar_chart, cdf_chart
+from .trajio import dump_json
 from .trajstats import SequenceStats, cohort_stats
 
 __all__ = ["dump_json", "summary_to_dict", "write_report_bundle", "REPORT_SCHEMA_VERSION"]
@@ -48,22 +48,6 @@ _BUNDLE_NAMES = frozenset(
     ["summary.json", "correlations.csv"]
     + [f"{kind}_{m}.{ext}" for kind in ("cdf", "bars") for m in METRIC_FIELDS for ext in ("csv", "svg")]
 )
-
-
-def _clean(value):
-    """Make a value JSON-safe: NaN/inf to None, containers recursively."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    return value
-
-
-def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, no NaN tokens, trailing newline."""
-    return json.dumps(_clean(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _record_to_dict(rec: MetricRecord) -> dict:

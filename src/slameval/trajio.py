@@ -12,6 +12,9 @@ internally.
 Ground-truth and estimated sequences rarely share timestamps exactly
 (different sampling rates, lengths, missing data), so metric evaluation
 first matches poses by nearest timestamp within a tolerance.
+
+The canonical JSON writer of every report, ``dump_json``, sits beside the
+TUM writer, so a command that writes a JSON file loads no report module.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import Trajectory, _bad_pose_row, _locked, _view, quat_normalize
+from .geom3d import Trajectory, _bad_pose_row, _locked, _stride, _view, quat_normalize
 
 __all__ = [
     "Association",
@@ -33,6 +36,7 @@ __all__ = [
     "write_tum",
     "dumps_tum",
     "save_tum",
+    "dump_json",
     "associate",
     "associate_by_index",
     "associate_runs",
@@ -99,7 +103,12 @@ class Association:
         return tuple(zip(self.gt_indices.tolist(), self.est_indices.tolist()))
 
     def strided(self, s: int) -> "Association":
-        """The pairs on every s-th gt pose, re-indexed into gt resampled at stride s."""
+        """The pairs on every s-th gt pose, re-indexed into gt resampled at stride s.
+
+        s is an integer in [1, sys.maxsize], a numpy one too but not a bool or
+        float, as for ``resample_stride``; else ValidationError.
+        """
+        s = _stride(s)
         keep = self.gt_indices % s == 0
         return Association.from_indices(
             self.gt_indices[keep] // s, self.est_indices[keep], self.max_time_diff
@@ -177,13 +186,15 @@ def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     """Read a TUM-format file; traj_id defaults to the file stem.
 
     It is read as UTF-8 text with universal newlines: lines end at LF, CR
-    or CRLF. Bytes that are not UTF-8 raise ParseError with their line number.
+    or CRLF; a leading byte-order mark is dropped. Bytes that are not UTF-8
+    raise ParseError with their line number.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         # the whole file is decoded in one call: exc.start is its offset in the file
+        # (past a byte-order mark, which holds no newline)
         line_no = len((exc.object[: exc.start] + b"x").splitlines())
         raise ParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line_no) from None
     return parse_tum(text, traj_id if traj_id is not None else path.stem)
@@ -242,6 +253,23 @@ def save_tum(traj: Trajectory, path: str | Path) -> None:
             fp.write(block)
 
 
+def _clean(value):
+    """Make a value JSON-safe: NaN/inf to None, containers recursively."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _clean(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_clean(v) for v in value]
+    return value
+
+
+def dump_json(obj) -> str:
+    """Canonical JSON text: sorted keys, no NaN tokens, trailing newline."""
+    import json  # here: a command that writes no JSON never loads it
+    return json.dumps(_clean(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def associate_runs(runs: Sequence[tuple[Trajectory, Trajectory]],
                    max_time_diff: float = DEFAULT_MAX_TIME_DIFF, by_index: bool = False):
     """Match the poses of every run (gt, est) at once, each run as if alone.
@@ -280,6 +308,8 @@ def associate_runs(runs: Sequence[tuple[Trajectory, Trajectory]],
         return run, gi, gi, {}
     if not max_time_diff >= 0:  # NaN too
         raise ValidationError(f"max_time_diff must be non-negative, got {max_time_diff!r}")
+    if not runs:
+        return n_gt, n_gt, n_gt, {}  # three empty int arrays
 
     failed: dict[int, str] = {}
     est_start = np.cumsum(n_est) - n_est

@@ -1,10 +1,12 @@
 """associate against the candidate-by-candidate greedy loop it replaced."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import pose_loop_reference as ref
-from slameval.errors import EmptyAssociationError
+from slameval.errors import EmptyAssociationError, ValidationError
 from slameval.geom3d import Trajectory
 from slameval.trajio import Association, associate, associate_by_index
 
@@ -107,3 +109,19 @@ def test_strided_matches_tuple_comprehension(stride):
     expected = tuple((i // stride, j) for i, j in assoc.pairs if i % stride == 0)
     assert assoc.strided(stride).pairs == expected
     assert Association(((1, 0),), 0.02).strided(stride).pairs == ()
+
+
+# strides BatchOptions rejects; unchecked, 0 divides by zero, -1 counts gt
+# indices backwards and 2.5 keeps every 2nd pose
+@pytest.mark.parametrize("stride", [0, -1, 2.5, True, np.float64(2.0), 2**63])
+def test_strided_rejects_a_stride_that_is_not_a_positive_integer(stride):
+    assoc = Association(((0, 0), (1, 1), (2, 2)), 0.02)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^stride must be an integer"):
+            assoc.strided(stride)
+
+
+def test_strided_takes_a_numpy_integer():
+    assoc = Association(((0, 0), (1, 1), (2, 2)), 0.02)
+    assert assoc.strided(np.int32(2)) == assoc.strided(2) == Association(((0, 0), (1, 2)), 0.02)

@@ -135,6 +135,16 @@ def test_manifest_rejects_bad_json(tmp_path):
         load_manifest(bad)
 
 
+def test_manifest_with_a_byte_order_mark_loads(tmp_path, capsys):
+    gt = random_trajectory(seed=211, n=40, step_mean=0.006, turn_mean=0.02)
+    path = build_synth_cohort(tmp_path, [("a", gt, [PerturbationSpec(noise_sigma_trans=0.001)])])
+    plain = load_manifest(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_manifest(path) == plain
+    assert main(["batch", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 _SEQUENCES = json.dumps([_ENTRY])
 
 

@@ -153,6 +153,16 @@ def test_non_utf8_input_exit_code(traj_files, tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_byte_order_mark_before_the_header_is_ignored(traj_files, tmp_path, capsys):
+    gt_path, drift_path = traj_files
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + drift_path.read_bytes())
+    assert main(["ate", str(gt_path), str(drift_path)]) == EXIT_OK
+    plain = capsys.readouterr().out
+    assert main(["ate", str(gt_path), str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+
+
 def test_huge_quaternion_reports_its_norm_without_warning(tmp_path):
     ok, big = tmp_path / "ok.txt", tmp_path / "big.txt"
     ok.write_text("0 0 0 0 0 0 0 1\n")

@@ -103,7 +103,8 @@ def test_library_import_leaves_blas_threads_alone():
 # the modules every command loads: the CLI, its errors and TUM reading and writing
 _BASE = ["cli", "errors", "geom3d", "trajio"]
 _PAIR = ["align", "metrics"]
-# report and the modules it imports, for its JSON writer and the report bundle; not batch
+# report and the modules it imports for the report bundle; not batch, and not for
+# the pair commands' JSON files, whose writer lives in trajio
 _REPORT = ["cohort", "report", "svgplot", "trajstats"]
 
 
@@ -113,8 +114,8 @@ _REPORT = ["cohort", "report", "svgplot", "trajstats"]
     (["stats", "{d}/gt/a.txt"], ["trajstats"]),
     (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt"], _PAIR),
     (["rpe", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--index-assoc"], _PAIR),
-    (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/a.json"], _PAIR + _REPORT),
-    (["rpe", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/r.json"], _PAIR + _REPORT),
+    (["ate", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/a.json"], _PAIR),
+    (["rpe", "{d}/gt/a.txt", "{d}/est/a_run0.txt", "--json", "{d}/r.json"], _PAIR),
     (["batch", "{d}/manifest.json", "--out", "{d}/r", "--svg"], ["batch"] + _PAIR + _REPORT),
 ], ids=["synth", "stats", "ate", "rpe", "ate-json", "rpe-json", "batch"])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
@@ -130,6 +131,17 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
     code, loaded = json.loads(out.splitlines()[-1])
     assert code == 0
     assert loaded == sorted(f"slameval.{m}" for m in _BASE + own)
+
+
+def test_report_reexports_the_json_writer_of_trajio():
+    from slameval import report, trajio
+
+    assert report.dump_json is trajio.dump_json and "dump_json" in report.__all__
+
+
+def test_cli_import_loads_no_json():
+    # dump_json imports json on first use, so synth and stats never load it
+    assert _run("import sys, slameval.cli; print('json' in sys.modules)").stdout.strip() == "False"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")

@@ -333,6 +333,12 @@ def test_associate_runs_gives_each_run_its_pairs_alone(seed, by_index, tol):
     assert sorted(failed) == ([] if by_index else [4, 5])
 
 
+@pytest.mark.parametrize("by_index", [False, True])
+def test_associate_runs_of_no_run_is_empty(by_index):
+    *arrays, failed = associate_runs([], 0.02, by_index)
+    assert [(a.dtype.kind, a.shape) for a in arrays] == [("i", (0,))] * 3 and failed == {}
+
+
 def test_parse_is_locale_independent():
     # '.' decimal separator is hard-coded; ',' must fail loudly
     with pytest.raises(ParseError):
@@ -354,6 +360,26 @@ def test_non_utf8_byte_far_into_a_file_reports_its_line(tmp_path):
     assert len(good) > 1 << 16
     path.write_bytes(good + b"6000 0 0 \xff 0 0 0 1\n")
     with pytest.raises(ParseError, match="^line 6001: invalid UTF-8 byte 0xff$"):
+        load_tum(path)
+
+
+_BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark some Windows editors write first
+
+
+@pytest.mark.parametrize("head", [b"# timestamp tx ty tz qx qy qz qw\n", b""],
+                         ids=["header", "pose"])
+def test_load_drops_a_leading_byte_order_mark(tmp_path, head):
+    text = head + b"0 0 0 0 0 0 0 1\n1 1 0 0 0 0 0 1\n"
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text)
+    marked.write_bytes(_BOM + text)
+    assert load_tum(marked, "t") == load_tum(plain, "t")
+
+
+def test_non_utf8_byte_after_a_byte_order_mark_reports_its_line(tmp_path):
+    path = tmp_path / "marked.txt"
+    path.write_bytes(_BOM + b"# h\n0 0 0 0 0 0 0 1\n1 0 0 \xff 0 0 0 1\n")
+    with pytest.raises(ParseError, match="^line 3: invalid UTF-8 byte 0xff$"):
         load_tum(path)
 
 

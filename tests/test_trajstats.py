@@ -124,6 +124,18 @@ def test_stride_validation():
         resample_stride(t, 0)
 
 
+# BatchOptions rejects each of these; unchecked, 2.5 would keep every 2nd pose
+@pytest.mark.parametrize("stride", [-1, 2.5, True, "2", np.float64(2.0), 2**63])
+def test_stride_must_be_a_positive_integer(stride):
+    with pytest.raises(ValidationError, match="^stride must be an integer"):
+        resample_stride(_straight_line(10, 0.1), stride)
+
+
+def test_stride_takes_a_numpy_integer():
+    t = _straight_line(10, 1.0)
+    assert resample_stride(t, np.int64(3)) == resample_stride(t, 3)
+
+
 def test_attributes_invariant_under_rigid_transform():
     rng = np.random.default_rng(42)
     t = random_trajectory(seed=43, n=300, step_mean=0.01, turn_mean=0.03)
