@@ -57,7 +57,7 @@ from .align import horn_align_segments
 from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, MetricRecord,
                      SequenceResult, summarize)
 from .errors import SlamEvalError, ValidationError
-from .geom3d import Trajectory
+from .geom3d import Trajectory, _count
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _all_pairs_refusal, rpe_segments
 from .trajio import DEFAULT_MAX_TIME_DIFF, associate_runs, load_tum
 from .trajstats import resample_stride, segment_stats
@@ -93,12 +93,8 @@ class BatchOptions:
 
     def __post_init__(self):
         for name in ("rpe_delta", "stride"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
             # the array pass takes both as int64
-            if not 1 <= value <= sys.maxsize:
-                raise ValidationError(f"{name} must lie in [1, {sys.maxsize}]")
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
         for name in ("max_time_diff", "min_tracked", "gap_ratio_min"):
             value = getattr(self, name)
             # exact comparison also rejects a JSON integer beyond the float range
@@ -451,8 +447,7 @@ def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     and each share's numbers are those of its entries alone, so the
     report is bit-identical at every job count.
     """
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
+    jobs = _count("jobs", jobs)
     options = manifest.options
     entries = manifest.entries
 

@@ -219,12 +219,13 @@ def _segment_means(values: np.ndarray, counts) -> list[float]:
             for b, m in zip(ends, np.asarray(counts).tolist())]
 
 
-def _stride(value) -> int:
-    """A frame stride as an int: an integer (a numpy one too, not a bool) in
-    [1, sys.maxsize], the range ``BatchOptions`` takes; else ValidationError."""
+def _count(name: str, value) -> int:
+    """The one rule for a count (a stride, an RPE delta, a job or frame count):
+    an int or numpy integer, not a bool, in [1, sys.maxsize], returned as an int;
+    anything else raises ValidationError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
             1 <= value <= sys.maxsize):
-        raise ValidationError(f"stride must be an integer in [1, {sys.maxsize}], got {value!r}")
+        raise ValidationError(f"{name} must be an integer in [1, {sys.maxsize}], got {value!r}")
     return int(value)
 
 

@@ -40,6 +40,7 @@ from .align import AlignmentResult, horn_align
 from .errors import EmptyAssociationError, ValidationError
 from .geom3d import (
     Trajectory,
+    _count,
     _fsum_mean,
     _segment_means,
     quat_angle,
@@ -184,12 +185,13 @@ def rpe(
 ) -> RpeReport:
     """Relative pose error of est against gt over associated pairs.
 
-    In fixed-delta mode delta must satisfy 1 <= delta < n for n
-    associated pairs, giving m = n - delta error terms. In all-pairs
-    mode every interval 1..n-1 contributes (m = n(n-1)/2 terms); n is
-    capped at ALL_PAIRS_DEFAULT_CAP unless allow_large is set. Indices
-    run over associated pairs in ground-truth timestamp order. The
-    result is the one segment of ``rpe_segments``.
+    In fixed-delta mode delta is a count (an int or numpy integer in
+    [1, sys.maxsize]) below n, the number of associated pairs, giving
+    m = n - delta error terms; else ValidationError. All-pairs mode
+    ignores delta: every interval 1..n-1 contributes (m = n(n-1)/2
+    terms), and n is capped at ALL_PAIRS_DEFAULT_CAP unless allow_large
+    is set. Indices run over associated pairs in ground-truth timestamp
+    order. The result is the one segment of ``rpe_segments``.
     """
     n = len(assoc)
     if n < 2:
@@ -198,8 +200,8 @@ def rpe(
         raise ValidationError(f"unknown RPE mode {mode!r}")
 
     if mode == RPE_MODE_FIXED:
-        delta = int(delta)
-        if delta < 1 or delta >= n:
+        delta = _count("delta", delta)
+        if delta >= n:
             raise ValidationError(
                 f"delta must satisfy 1 <= delta < {n} (associated pairs), got {delta}"
             )

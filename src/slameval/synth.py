@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Pose, Trajectory, quat_from_axis_angle, quat_mul, quat_normalize, quat_rotate
+from .geom3d import Pose, Trajectory, _count, quat_from_axis_angle, quat_mul, quat_normalize, quat_rotate
 
 __all__ = ["PerturbationSpec", "random_trajectory", "perturb"]
 
@@ -93,6 +93,7 @@ def random_trajectory(
     with step_mean for a fixed seed, which makes constructed
     speed/accuracy relationships exact.
     """
+    n = _count("n", n)
     if n < 2:
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
     if seed < 0:

@@ -27,7 +27,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import EmptyAssociationError, ParseError, ValidationError
-from .geom3d import Trajectory, _bad_pose_row, _locked, _stride, _view, quat_normalize
+from .geom3d import Trajectory, _bad_pose_row, _count, _locked, _view, quat_normalize
 
 __all__ = [
     "Association",
@@ -105,10 +105,9 @@ class Association:
     def strided(self, s: int) -> "Association":
         """The pairs on every s-th gt pose, re-indexed into gt resampled at stride s.
 
-        s is an integer in [1, sys.maxsize], a numpy one too but not a bool or
-        float, as for ``resample_stride``; else ValidationError.
+        s is a count: an int or numpy integer in [1, sys.maxsize]; else ValidationError.
         """
-        s = _stride(s)
+        s = _count("stride", s)
         keep = self.gt_indices % s == 0
         return Association.from_indices(
             self.gt_indices[keep] // s, self.est_indices[keep], self.max_time_diff
@@ -143,11 +142,14 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     checks run in that order: field count, numeric, finite, increasing,
     quaternion norm. A string's lines end at LF, CR or CRLF, as in a
     text-mode file (str.splitlines would also break at U+2028, U+0085,
-    form feed and other separators).
+    form feed and other separators). One byte-order mark (U+FEFF) at
+    the start of the first line is dropped.
     """
     if isinstance(source, str):
         source = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     lines = list(source)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
     # a pose line holds something other than blanks and does not start with '#'
     pose_lines = [raw for raw in lines if (head := raw.lstrip()) and head[0] != "#"]
     data = _loadtxt(pose_lines)
@@ -186,15 +188,14 @@ def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     """Read a TUM-format file; traj_id defaults to the file stem.
 
     It is read as UTF-8 text with universal newlines: lines end at LF, CR
-    or CRLF; a leading byte-order mark is dropped. Bytes that are not UTF-8
-    raise ParseError with their line number.
+    or CRLF; parse_tum drops a leading byte-order mark. Bytes that are not
+    UTF-8 raise ParseError with their line number.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # the whole file is decoded in one call: exc.start is its offset in the file
-        # (past a byte-order mark, which holds no newline)
         line_no = len((exc.object[: exc.start] + b"x").splitlines())
         raise ParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line_no) from None
     return parse_tum(text, traj_id if traj_id is not None else path.stem)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Trajectory, _fsum_mean, _stride, _view, quat_angle, quat_conj, quat_mul
+from .geom3d import Trajectory, _count, _fsum_mean, _view, quat_angle, quat_conj, quat_mul
 
 __all__ = [
     "SequenceStats", "sequence_stats", "segment_stats", "resample_stride", "cohort_stats",
@@ -88,11 +88,10 @@ def resample_stride(t: Trajectory, stride: int) -> Trajectory:
 
     stride = 1 returns the trajectory unchanged; "skip k" frames is
     stride k + 1. Composition collapses: resampling by a then b equals
-    resampling by a * b. A stride that is not an integer (a numpy one
-    counts, a bool or float does not) in [1, sys.maxsize] raises
-    ValidationError, as in ``BatchOptions``.
+    resampling by a * b. stride is a count: an int or numpy integer in
+    [1, sys.maxsize]; else ValidationError.
     """
-    stride = _stride(stride)
+    stride = _count("stride", stride)
     if stride == 1:
         return t
     # every s-th row of a valid trajectory is valid: read-only views, not checked copies

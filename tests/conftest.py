@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,15 @@ import numpy as np
 from slameval.geom3d import Pose, Rotation, Trajectory, quat_conj, quat_mul, relative
 from slameval.synth import PerturbationSpec, perturb
 from slameval.trajio import save_tum
+
+
+# values every count (a stride, an RPE delta, a job or frame count) rejects
+NOT_COUNTS = [0, -1, 2.5, True, "2", np.float64(2.0), 2**63]
+
+
+def count_error(name: str, value) -> str:
+    """The pattern of the one message a rejected count raises."""
+    return "^" + re.escape(f"{name} must be an integer in [1, {sys.maxsize}], got {value!r}") + "$"
 
 
 def precise_angle_between(a: Rotation, b: Rotation) -> float:

@@ -40,7 +40,7 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     poses: list[Pose] = []
     prev_ts: float | None = None
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = (raw.removeprefix("\ufeff") if line_no == 1 else raw).strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()

@@ -9,6 +9,7 @@ import sys
 import threading
 import warnings
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -26,7 +27,7 @@ from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate, associate_by_index, load_tum, save_tum
 from slameval.trajstats import resample_stride
 
-from conftest import build_synth_cohort, write_manifest
+from conftest import NOT_COUNTS, build_synth_cohort, count_error, write_manifest
 
 
 def _small_cohort(root, n_seq=4, runs=2, frames=120):
@@ -107,6 +108,10 @@ _ENTRY = {"sequence_id": "a", "gt_path": "g.txt", "estimate_paths": ["e.txt"]}
     ([_ENTRY], [["stride", 2]]),
     (5, {}),
     ([_ENTRY], {"gap_ratio_min": 10**400}),
+    ([_ENTRY], {"rpe_delta": 0}),
+    ([_ENTRY], {"rpe_delta": 2**63}),
+    ([_ENTRY], {"stride": -1}),
+    ([_ENTRY], {"stride": 2.0}),
 ])
 def test_manifest_rejects_bad_values(tmp_path, capsys, sequences, options):
     path = tmp_path / "m.json"
@@ -210,6 +215,30 @@ def test_batch_parallel_matches_serial(tmp_path):
     assert summary_to_dict(serial, manifest.options) == summary_to_dict(
         parallel, manifest.options
     )
+
+
+@pytest.mark.parametrize("value", NOT_COUNTS)
+def test_batch_counts_follow_the_one_rule(tmp_path, monkeypatch, value):
+    # with 3 sequences and 4 CPUs, min(jobs, sequences, CPUs) would pass 2.5 on to range()
+    monkeypatch.setattr(batch, "_usable_cpus", lambda: 4)
+    manifest = load_manifest(_small_cohort(tmp_path, n_seq=3, runs=1, frames=30))
+    for name in ("rpe_delta", "stride"):
+        with pytest.raises(ValidationError, match=count_error(name, value)):
+            BatchOptions(**{name: value})
+    with pytest.raises(ValidationError, match=count_error("jobs", value)):
+        run_batch(manifest, jobs=value)
+
+
+def test_numpy_integer_counts_give_the_same_report(tmp_path):
+    manifest = load_manifest(_small_cohort(tmp_path, n_seq=3, runs=1, frames=60))
+    summaries = []
+    for k, count in enumerate([2, np.int64(2), np.int32(2)]):
+        options = BatchOptions(rpe_delta=count, stride=count)
+        assert type(options.rpe_delta) is int and type(options.stride) is int
+        outcome = run_batch(replace(manifest, options=options), jobs=count)
+        write_report_bundle(outcome, options, tmp_path / f"r{k}")
+        summaries.append((tmp_path / f"r{k}" / "summary.json").read_bytes())
+    assert summaries[1] == summaries[2] == summaries[0]
 
 
 # where run_batch forks its workers; elsewhere they are spawned

@@ -188,7 +188,8 @@ def test_ate_of_a_path_near_the_float_limit_is_zero(tmp_path, capsys, scale):
     assert "ate.rmse            0.000000 m" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("jobs", ["x", "0", "-2", ""])
+# above sys.maxsize a job count is bad input, not clamped to the CPU count
+@pytest.mark.parametrize("jobs", ["x", "0", "-2", "", str(2**63)])
 def test_bad_jobs_variable_exit_code(traj_files, tmp_path, monkeypatch, capsys, jobs):
     gt_path, drift_path = traj_files
     manifest = write_manifest(
@@ -270,6 +271,15 @@ def test_synth_rejects_non_finite_numbers(tmp_path, capsys, flags):
         assert main(argv + flags) == EXIT_BAD_INPUT
     assert "error:" in capsys.readouterr().err
     assert not gt_out.exists() and not est_out.exists()
+
+
+def test_synth_frame_count_beyond_int64_is_one_error_line(tmp_path):
+    frames = str(10**20)
+    proc = _run_module("synth", "--gt-out", str(tmp_path / "gt.txt"),
+                       "--est-out", str(tmp_path / "est.txt"), "--frames", frames)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert proc.stderr == f"error: n must be an integer in [1, {sys.maxsize}], got {frames}\n"
+    assert not (tmp_path / "gt.txt").exists()
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

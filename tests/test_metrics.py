@@ -19,6 +19,8 @@ from slameval.metrics import RPE_MODE_ALL_PAIRS, ate, rpe, rpe_segments
 from slameval.trajio import Association, associate_by_index
 
 from conftest import (
+    NOT_COUNTS,
+    count_error,
     random_pose,
     random_pose_trajectory,
     rotz,
@@ -177,6 +179,29 @@ def test_rpe_delta_validation():
     one = static_identity_trajectory(1)
     with pytest.raises(ValidationError):
         rpe(one, one, associate_by_index(one, one), delta=1)
+
+
+# int() would read 2.5 as 2, "3" as 3 and True as 1
+@pytest.mark.parametrize("delta", [*NOT_COUNTS, "3", np.float64(2.7)])
+def test_rpe_delta_must_be_a_count(delta):
+    gt = static_identity_trajectory(10)
+    assoc = associate_by_index(gt, gt)
+    with pytest.raises(ValidationError, match=count_error("delta", delta)):
+        rpe(gt, gt, assoc, delta=delta)
+    # all-pairs mode ignores delta
+    assert rpe(gt, gt, assoc, delta=delta, mode=RPE_MODE_ALL_PAIRS).delta == 0
+
+
+def test_rpe_delta_takes_a_numpy_integer():
+    rng = np.random.default_rng(39)
+    gt, est = random_pose_trajectory(rng, 12), random_pose_trajectory(rng, 12)
+    assoc = associate_by_index(gt, est)
+    plain = rpe(gt, est, assoc, delta=3)
+    for delta in (np.int32(3), np.int64(3)):
+        report = rpe(gt, est, assoc, delta=delta)
+        assert type(report.delta) is int and report.delta == 3
+        assert (report.trans_rmse, report.rot_mean) == (plain.trans_rmse, plain.rot_mean)
+        assert np.array_equal(report.per_pair_trans, plain.per_pair_trans)
 
 
 # ---------------------------------------------------------------------------

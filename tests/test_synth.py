@@ -10,7 +10,7 @@ from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate_by_index
 from slameval.trajstats import sequence_stats
 
-from conftest import random_pose
+from conftest import NOT_COUNTS, count_error, random_pose
 
 
 def test_generation_is_deterministic():
@@ -52,6 +52,18 @@ def test_generated_motion_profile():
 def test_requires_two_frames():
     with pytest.raises(ValidationError):
         random_trajectory(seed=55, n=1, step_mean=0.01, turn_mean=0.0)
+
+
+@pytest.mark.parametrize("n", NOT_COUNTS)
+def test_frame_count_must_be_a_count(n):
+    with pytest.raises(ValidationError, match=count_error("n", n)):
+        random_trajectory(seed=55, n=n, step_mean=0.01, turn_mean=0.0)
+
+
+def test_frame_count_takes_a_numpy_integer():
+    plain = random_trajectory(seed=56, n=40, step_mean=0.01, turn_mean=0.02)
+    for n in (np.int32(40), np.int64(40)):
+        assert random_trajectory(seed=56, n=n, step_mean=0.01, turn_mean=0.02) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,19 @@ def test_load_drops_a_leading_byte_order_mark(tmp_path, head):
     assert load_tum(marked, "t") == load_tum(plain, "t")
 
 
+@pytest.mark.parametrize("head", ["# h\n", ""], ids=["header", "pose"])
+@pytest.mark.parametrize("as_stream", [False, True], ids=["string", "stream"])
+def test_parse_drops_a_leading_byte_order_mark(head, as_stream):
+    text = head + "0 0 0 0 0 0 0 1\n1 1 0 0 0 0 0 1\n"
+    marked = "\ufeff" + text
+    assert parse_tum(io.StringIO(marked) if as_stream else marked, "t") == parse_tum(text, "t")
+
+
+def test_byte_order_mark_past_the_start_is_a_non_numeric_field():
+    with pytest.raises(ParseError, match="^line 2: non-numeric field"):
+        parse_tum("# h\n\ufeff0 0 0 0 0 0 0 1\n")
+
+
 def test_non_utf8_byte_after_a_byte_order_mark_reports_its_line(tmp_path):
     path = tmp_path / "marked.txt"
     path.write_bytes(_BOM + b"# h\n0 0 0 0 0 0 0 1\n1 0 0 \xff 0 0 0 1\n")
