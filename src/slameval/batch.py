@@ -30,9 +30,9 @@ Manifest JSON schema (schema_version 1)::
     }
 
 All options are optional and default as above; ``rpe_delta`` and
-``stride`` must be integers, the other numbers finite. ``sequence_id``
-and ``gt_path`` are non-empty strings. Relative paths resolve against
-the manifest's directory.
+``stride`` must be integers, the other numbers finite and
+``max_time_diff`` >= 0. ``sequence_id`` and ``gt_path`` are non-empty
+strings. Relative paths resolve against the manifest's directory.
 
 The runner splits the sequences into shares, one per worker process,
 this process included. A share's files are read one by one, and all of
@@ -57,7 +57,7 @@ from .align import horn_align_segments
 from .cohort import (DEFAULT_GAP_RATIO_MIN, DEFAULT_MIN_TRACKED, CohortSummary, MetricRecord,
                      SequenceResult, summarize)
 from .errors import SlamEvalError, ValidationError
-from .geom3d import Trajectory, _count
+from .geom3d import Trajectory, _count, _real
 from .metrics import RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED, _all_pairs_refusal, rpe_segments
 from .trajio import DEFAULT_MAX_TIME_DIFF, associate_runs, load_tum
 from .trajstats import resample_stride, segment_stats
@@ -96,14 +96,9 @@ class BatchOptions:
             # the array pass takes both as int64
             object.__setattr__(self, name, _count(name, getattr(self, name)))
         for name in ("max_time_diff", "min_tracked", "gap_ratio_min"):
-            value = getattr(self, name)
-            # exact comparison also rejects a JSON integer beyond the float range
-            if (
-                not isinstance(value, (int, float))
-                or isinstance(value, bool)
-                or not abs(value) <= sys.float_info.max
-            ):
-                raise ValidationError(f"{name} must be a finite number, got {value!r}")
+            # kept as given (a numpy scalar as its Python number): summary.json echoes it
+            low = 0 if name == "max_time_diff" else -math.inf
+            object.__setattr__(self, name, _real(name, getattr(self, name), low))
         if not isinstance(self.index_identity_association, bool):
             raise ValidationError(
                 f"index_identity_association must be true or false, "
@@ -111,8 +106,6 @@ class BatchOptions:
             )
         if self.rpe_mode not in (RPE_MODE_FIXED, RPE_MODE_ALL_PAIRS):
             raise ValidationError(f"unknown rpe_mode {self.rpe_mode!r}")
-        if self.max_time_diff < 0:
-            raise ValidationError("max_time_diff must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np  # noqa: E402
 
 from . import __version__, _lazy_getattr  # noqa: E402
 from .errors import EmptyAssociationError, SlamEvalError, ValidationError  # noqa: E402
-from .geom3d import Pose, Rotation  # noqa: E402
+from .geom3d import Pose, Rotation, _count, _real  # noqa: E402
 from .trajio import (DEFAULT_MAX_TIME_DIFF, RPE_MODE_ALL_PAIRS, RPE_MODE_FIXED,  # noqa: E402
                      associate, associate_by_index, dump_json, load_tum, save_tum)
 
@@ -184,15 +184,13 @@ def _parse_vec3(text: str, name: str) -> tuple[float, float, float]:
 
 
 def _cmd_synth(args) -> int:
-    if not math.isfinite(args.offset_yaw):
-        raise ValidationError(f"--offset-yaw expects a finite number, got {args.offset_yaw!r}")
+    if _count("--frames", args.frames) < 2:
+        raise ValidationError(f"--frames must be >= 2, got {args.frames}")
+    _real("--offset-yaw", args.offset_yaw)
     gt = _cli.random_trajectory(args.seed, args.frames, args.step_mean, args.turn_mean)
-    global_transform = None
-    if args.offset is not None:
-        t = _parse_vec3(args.offset, "--offset")
-        global_transform = Pose(
-            Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw), np.array(t)
-        )
+    global_transform = None if args.offset is None else Pose(
+        Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw),
+        np.array(_parse_vec3(args.offset, "--offset")))
     spec = _cli.PerturbationSpec(
         global_transform=global_transform,
         drift_per_frame=_parse_vec3(args.drift, "--drift"),

@@ -22,6 +22,7 @@ and ``relative``; a trajectory builds them as views of its rows on demand.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -227,6 +228,18 @@ def _count(name: str, value) -> int:
             1 <= value <= sys.maxsize):
         raise ValidationError(f"{name} must be an integer in [1, {sys.maxsize}], got {value!r}")
     return int(value)
+
+
+def _real(name: str, value, low: float = -math.inf, above: bool = False):
+    """The one rule for a real setting: a real number, not a bool, finite and >= low
+    (> low if above), returned with a numpy scalar as its Python number; anything else
+    raises ValidationError naming it. Exact comparisons: a huge int is never converted."""
+    number = value.item() if isinstance(value, np.generic) else value
+    if isinstance(number, bool) or not isinstance(number, numbers.Real) or not (
+            abs(number) <= sys.float_info.max and (number > low if above else number >= low)):
+        bound = "" if low == -math.inf else f" and {'>' if above else '>='} {low}"
+        raise ValidationError(f"{name} must be finite{bound}, got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def _record_to_dict(rec: MetricRecord) -> dict:
         "ate_rmse": rec.ate_rmse,
         "rpe_trans": rec.rpe_trans,
         "rpe_rot_rad": rec.rpe_rot,
-        "rpe_rot_deg": math.degrees(rec.rpe_rot) if math.isfinite(rec.rpe_rot) else math.nan,
+        "rpe_rot_deg": math.degrees(rec.rpe_rot),  # NaN and inf pass through, written as null
         "tracked_fraction": rec.tracked_fraction,
     }
 
@@ -86,27 +86,19 @@ def summary_to_dict(outcome: BatchOutcome, options: BatchOptions) -> dict:
         "options": asdict(options),
         "evaluated_sequences": outcome.evaluated_count,
         "failures": [asdict(f) for f in outcome.failures],
+        # the cohort keys of a batch that evaluated nothing
+        "success_rate": None,
+        "excluded_sequences": [],
+        "cohort_attributes": None,
+        "gaps": {m: None for m in METRIC_FIELDS},
+        "correlations": [],
+        "sequences": [],
     }
-    if summary is None:
-        doc.update(
-            {
-                "success_rate": None,
-                "excluded_sequences": [],
-                "cohort_attributes": None,
-                "gaps": {m: None for m in METRIC_FIELDS},
-                "correlations": [],
-                "sequences": [],
-            }
-        )
-        return doc
-
-    doc.update(
-        {
+    if summary is not None:
+        doc.update({
             "success_rate": summary.success_rate,
             "excluded_sequences": list(summary.excluded),
-            "cohort_attributes": _stats_to_dict(
-                cohort_stats([r.stats for r in summary.results])
-            ),
+            "cohort_attributes": _stats_to_dict(cohort_stats([r.stats for r in summary.results])),
             "gaps": {
                 m: (None if g is None else {"threshold": g.threshold, "ratio": g.ratio})
                 for m, g in summary.gap.items()
@@ -116,8 +108,7 @@ def summary_to_dict(outcome: BatchOutcome, options: BatchOptions) -> dict:
                 for a, m, rho in summary.correlations
             ],
             "sequences": [_sequence_to_dict(r) for r in summary.results],
-        }
-    )
+        })
     return doc
 
 

@@ -17,13 +17,13 @@ split generators, so identical inputs always give identical output.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import Pose, Trajectory, _count, quat_from_axis_angle, quat_mul, quat_normalize, quat_rotate
+from .geom3d import (Pose, Trajectory, _count, _real, quat_from_axis_angle, quat_mul,
+                     quat_normalize, quat_rotate)
 
 __all__ = ["PerturbationSpec", "random_trajectory", "perturb"]
 
@@ -50,19 +50,24 @@ class PerturbationSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "drift_per_frame", tuple(float(v) for v in self.drift_per_frame))
-        object.__setattr__(self, "drift_rot_axis", tuple(float(v) for v in self.drift_rot_axis))
-        if len(self.drift_per_frame) != 3 or len(self.drift_rot_axis) != 3:
-            raise ValidationError("drift vectors must have 3 components")
-        drift = (*self.drift_per_frame, *self.drift_rot_axis, self.drift_rot_per_frame)
-        if not all(map(math.isfinite, drift)):
-            raise ValidationError(f"drift values must be finite, got {drift}")
-        if not (0 <= self.noise_sigma_trans < math.inf and 0 <= self.noise_sigma_rot < math.inf):
-            raise ValidationError("noise sigmas must be finite and >= 0")
-        if not 0.0 <= self.dropout_fraction < 1.0:
+        for name in ("drift_per_frame", "drift_rot_axis"):
+            vec = tuple(float(_real(f"{name}[{i}]", v)) for i, v in enumerate(getattr(self, name)))
+            if len(vec) != 3:
+                raise ValidationError("drift vectors must have 3 components")
+            object.__setattr__(self, name, vec)
+        _real("drift_rot_per_frame", self.drift_rot_per_frame)
+        for name in ("noise_sigma_trans", "noise_sigma_rot", "dropout_fraction"):
+            _real(name, getattr(self, name), 0)
+        if self.dropout_fraction >= 1:
             raise ValidationError("dropout_fraction must lie in [0, 1)")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        _seed(self.seed)
+
+
+def _seed(seed) -> int:
+    """The one seed rule: an int or numpy integer, not a bool, >= 0."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be >= 0 and an integer, got {seed!r}")
+    return int(seed)
 
 
 def _smooth_profile(rng: np.random.Generator, n: int, knot_spacing: int = 25) -> np.ndarray:
@@ -96,13 +101,10 @@ def random_trajectory(
     n = _count("n", n)
     if n < 2:
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    if not all(map(math.isfinite, (step_mean, turn_mean, height))):
-        raise ValidationError("random_trajectory needs finite step_mean, turn_mean, height")
-    if not 0 < rate_hz < math.inf:  # NaN too
-        raise ValidationError(f"rate_hz must be finite and > 0, got {rate_hz!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
+    for name, value in (("step_mean", step_mean), ("turn_mean", turn_mean), ("height", height)):
+        _real(name, value)
+    _real("rate_hz", rate_hz, 0, above=True)
 
     heading0 = rng.uniform(0.0, 2.0 * np.pi)
     turn_profile = _smooth_profile(rng, n - 1)

@@ -187,9 +187,9 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
 def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
     """Read a TUM-format file; traj_id defaults to the file stem.
 
-    It is read as UTF-8 text with universal newlines: lines end at LF, CR
-    or CRLF; parse_tum drops a leading byte-order mark. Bytes that are not
-    UTF-8 raise ParseError with their line number.
+    It is read as UTF-8 text with universal newlines (LF, CR or CRLF), and
+    parse_tum drops a leading byte-order mark. Bytes that are not UTF-8 raise
+    ParseError with their line number, a path that cannot be opened ValidationError.
     """
     path = Path(path)
     try:
@@ -198,6 +198,8 @@ def load_tum(path: str | Path, traj_id: str | None = None) -> Trajectory:
         # the whole file is decoded in one call: exc.start is its offset in the file
         line_no = len((exc.object[: exc.start] + b"x").splitlines())
         raise ParseError(f"invalid UTF-8 byte 0x{exc.object[exc.start]:02x}", line_no) from None
+    except ValueError as exc:  # raised opening the path, before any byte is read
+        raise ValidationError(f"cannot open {str(path)!r}: {exc}") from None
     return parse_tum(text, traj_id if traj_id is not None else path.stem)
 
 

@@ -32,6 +32,17 @@ def count_error(name: str, value) -> str:
     return "^" + re.escape(f"{name} must be an integer in [1, {sys.maxsize}], got {value!r}") + "$"
 
 
+# values every real-valued setting (a tolerance, threshold, size, rate or drift) rejects,
+# and numpy scalars every one accepts
+NOT_REALS = ["1", True, None, 10**400, math.nan, math.inf, -math.inf]
+NUMPY_REALS = [np.float32(0.5), np.float64(0.5), np.int64(2)]
+
+
+def real_error(name: str, value, bound: str = "") -> str:
+    """The pattern of the one message a rejected real raises; bound is e.g. " and >= 0"."""
+    return "^" + re.escape(f"{name} must be finite{bound}, got {value!r}") + "$"
+
+
 def precise_angle_between(a: Rotation, b: Rotation) -> float:
     """Relative rotation angle via atan2; accurate at any magnitude."""
     r = quat_mul(quat_conj(a.q), b.q)

@@ -27,7 +27,8 @@ from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate, associate_by_index, load_tum, save_tum
 from slameval.trajstats import resample_stride
 
-from conftest import NOT_COUNTS, build_synth_cohort, count_error, write_manifest
+from conftest import (NOT_COUNTS, NOT_REALS, NUMPY_REALS, build_synth_cohort, count_error,
+                      real_error, write_manifest)
 
 
 def _small_cohort(root, n_seq=4, runs=2, frames=120):
@@ -112,6 +113,10 @@ _ENTRY = {"sequence_id": "a", "gt_path": "g.txt", "estimate_paths": ["e.txt"]}
     ([_ENTRY], {"rpe_delta": 2**63}),
     ([_ENTRY], {"stride": -1}),
     ([_ENTRY], {"stride": 2.0}),
+    ([_ENTRY], {"max_time_diff": True}),
+    ([_ENTRY], {"max_time_diff": 10**400}),
+    ([_ENTRY], {"max_time_diff": -1e-300}),
+    ([_ENTRY], {"min_tracked": "0.9"}),
 ])
 def test_manifest_rejects_bad_values(tmp_path, capsys, sequences, options):
     path = tmp_path / "m.json"
@@ -227,6 +232,38 @@ def test_batch_counts_follow_the_one_rule(tmp_path, monkeypatch, value):
             BatchOptions(**{name: value})
     with pytest.raises(ValidationError, match=count_error("jobs", value)):
         run_batch(manifest, jobs=value)
+
+
+# every real-valued option, with its bound
+_OPTION_REALS = {"max_time_diff": " and >= 0", "min_tracked": "", "gap_ratio_min": ""}
+
+
+@pytest.mark.parametrize("name, value", [(name, value) for name in _OPTION_REALS
+                                         for value in NOT_REALS] + [("max_time_diff", -1e-300)])
+def test_batch_reals_follow_the_one_rule(name, value):
+    with pytest.raises(ValidationError, match=real_error(name, value, _OPTION_REALS[name])):
+        BatchOptions(**{name: value})
+
+
+@pytest.mark.parametrize("value", NUMPY_REALS)
+def test_batch_reals_take_numpy_scalars_as_python_numbers(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        options = BatchOptions(**{name: value for name in _OPTION_REALS})
+    for name in _OPTION_REALS:
+        assert getattr(options, name) == value and type(getattr(options, name)) in (int, float)
+
+
+def test_numpy_real_options_give_the_same_report(tmp_path):
+    manifest = load_manifest(_small_cohort(tmp_path, n_seq=3, runs=1, frames=60))
+    summaries = []
+    for k, (tolerance, tracked, ratio) in enumerate([(float(np.float32(0.02)), 0.5, 5),
+                                                    (np.float32(0.02), np.float64(0.5), np.int64(5))]):
+        options = BatchOptions(max_time_diff=tolerance, min_tracked=tracked, gap_ratio_min=ratio)
+        write_report_bundle(run_batch(replace(manifest, options=options)), options, tmp_path / f"r{k}")
+        summaries.append((tmp_path / f"r{k}" / "summary.json").read_bytes())
+    assert summaries[1] == summaries[0]
+    assert b'"gap_ratio_min": 5,' in summaries[0]  # a manifest's 1 is echoed as 1
 
 
 def test_numpy_integer_counts_give_the_same_report(tmp_path):
@@ -731,6 +768,25 @@ def test_all_pairs_cap_message_names_each_callers_override(tmp_path, capsys):
     capsys.readouterr()
     assert main(["rpe", str(gt_path), str(est_path), "--mode", "all-pairs"]) == EXIT_BAD_INPUT
     assert capsys.readouterr() == ("", f"error: {cap}; pass --allow-large to override\n")
+
+
+@pytest.mark.parametrize("name", ["nul\x00.txt", "\ud800.txt"])
+def test_batch_records_a_path_that_cannot_be_opened(tmp_path, capfd, name):
+    # open() raised ValueError (embedded null byte) or UnicodeEncodeError, which ended the batch
+    path = _small_cohort(tmp_path, n_seq=2)
+    doc = json.loads(path.read_text())
+    doc["sequences"][0]["estimate_paths"].append(name)
+    doc["sequences"].append({"sequence_id": "bad", "gt_path": name, "estimate_paths": ["x.txt"]})
+    path.write_text(json.dumps(doc))
+    outcome = run_batch(load_manifest(path))
+    assert outcome.evaluated_count == 2
+    assert [(f.sequence_id, f.path) for f in outcome.failures] == [
+        ("seq_00", str(tmp_path / name)), ("bad", str(tmp_path / name))]
+    assert all(f.error.startswith(f"cannot open {str(tmp_path / name)!r}: ")
+               for f in outcome.failures)
+    assert main(["batch", str(path), "--out", str(tmp_path / "r")]) == EXIT_OK
+    assert main(["ate", str(tmp_path / name), str(tmp_path / name)]) == EXIT_BAD_INPUT
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_batch_isolates_non_utf8_files(tmp_path):

@@ -278,8 +278,29 @@ def test_synth_frame_count_beyond_int64_is_one_error_line(tmp_path):
     proc = _run_module("synth", "--gt-out", str(tmp_path / "gt.txt"),
                        "--est-out", str(tmp_path / "est.txt"), "--frames", frames)
     assert proc.returncode == EXIT_BAD_INPUT
-    assert proc.stderr == f"error: n must be an integer in [1, {sys.maxsize}], got {frames}\n"
+    assert proc.stderr == f"error: --frames must be an integer in [1, {sys.maxsize}], got {frames}\n"
     assert not (tmp_path / "gt.txt").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--frames", "0"], f"--frames must be an integer in [1, {sys.maxsize}], got 0"),
+    (["--frames", "1"], "--frames must be >= 2, got 1"),
+    (["--offset", "0,0,0", "--offset-yaw", "nan"], "--offset-yaw must be finite, got nan"),
+    (["--offset-yaw=-inf"], "--offset-yaw must be finite, got -inf"),
+    (["--step-mean", "inf"], "step_mean must be finite, got inf"),
+    (["--turn-mean", "1e400"], "turn_mean must be finite, got inf"),
+    (["--drift-rot", "nan"], "drift_rot_per_frame must be finite, got nan"),
+    (["--noise-trans", "-1"], "noise_sigma_trans must be finite and >= 0, got -1.0"),
+    (["--noise-rot", "inf"], "noise_sigma_rot must be finite and >= 0, got inf"),
+    (["--dropout", "-0.5"], "dropout_fraction must be finite and >= 0, got -0.5"),
+    (["--dropout", "1"], "dropout_fraction must lie in [0, 1)"),
+])
+def test_synth_bad_number_is_one_error_line_naming_it(tmp_path, capsys, flags, message):
+    gt_out, est_out = tmp_path / "gt.txt", tmp_path / "est.txt"
+    argv = ["synth", "--gt-out", str(gt_out), "--est-out", str(est_out), "--frames", "20"]
+    assert main(argv + flags) == EXIT_BAD_INPUT
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not gt_out.exists() and not est_out.exists()
 
 
 def test_missing_file_exit_code(tmp_path, capsys):

@@ -88,6 +88,7 @@ _defect = st.sampled_from([
     ("entry", "sequence_id", None), ("entry", "sequence_id", ""), ("entry", "estimate_paths", []),
     ("entry", "gt_path", 3), ("options", "max_time_diff", -1), ("options", "rpe_delta", 0),
     ("options", "rpe_mode", "x"), ("options", "stride", 0), ("options", "bogus", 1),
+    ("entry", "gt_path", "g\x00.txt"), ("entry", "estimate_paths", ["\ud800.txt"]),
     ("cut", None, 17),
 ])
 

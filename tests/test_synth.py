@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate_by_index
 from slameval.trajstats import sequence_stats
 
-from conftest import NOT_COUNTS, count_error, random_pose
+from conftest import NOT_COUNTS, NOT_REALS, NUMPY_REALS, count_error, random_pose, real_error
 
 
 def test_generation_is_deterministic():
@@ -150,7 +151,77 @@ def test_negative_seed_is_a_validation_error():
         PerturbationSpec(seed=-1)
 
 
-@pytest.mark.parametrize("rate_hz", [0.0, -30.0, math.nan, math.inf])
+@pytest.mark.parametrize("seed", [1.5, True, "1", None, np.float64(2.0)])
+def test_a_seed_must_be_an_integer(seed):
+    # numpy's SeedSequence raised a TypeError for 1.5, at perturb for a spec
+    message = "^" + re.escape(f"seed must be >= 0 and an integer, got {seed!r}") + "$"
+    with pytest.raises(ValidationError, match=message):
+        random_trajectory(seed=seed, n=10, step_mean=0.01, turn_mean=0.0)
+    with pytest.raises(ValidationError, match=message):
+        PerturbationSpec(seed=seed)
+
+
+# every real setting of the synthetic motion and of a perturbation, with its bound
+_TRAJECTORY_REALS = {"step_mean": "", "turn_mean": "", "height": "", "rate_hz": " and > 0"}
+_SPEC_REALS = {"drift_rot_per_frame": "", "noise_sigma_trans": " and >= 0",
+               "noise_sigma_rot": " and >= 0", "dropout_fraction": " and >= 0",
+               **{f"{vector}[{i}]": "" for vector in ("drift_per_frame", "drift_rot_axis")
+                  for i in range(3)}}
+_BELOW = {" and > 0": [0], " and >= 0": [-1e-300], "": []}
+
+
+def _rejected(fields: dict) -> list:
+    """(name, bound, value) for every value a field rejects: NOT_REALS and one below its bound."""
+    return [(name, bound, value) for name, bound in fields.items()
+            for value in NOT_REALS + _BELOW[bound]]
+
+
+def _trajectory(**setting):
+    return random_trajectory(**{"seed": 1, "n": 10, "step_mean": 0.01, "turn_mean": 0.0,
+                                **setting})
+
+
+def _spec(name, value):
+    """A spec with value at name; a name like drift_per_frame[1] is a vector component."""
+    name, _, index = name.partition("[")
+    if index:
+        value = tuple(value if k == int(index[0]) else 0.0 for k in range(3))
+    return PerturbationSpec(**{name: value})
+
+
+@pytest.mark.parametrize("name, bound, value", _rejected(_TRAJECTORY_REALS))
+def test_trajectory_reals_follow_the_one_rule(name, bound, value):
+    with pytest.raises(ValidationError, match=real_error(name, value, bound)):
+        _trajectory(**{name: value})
+
+
+@pytest.mark.parametrize("name, bound, value", _rejected(_SPEC_REALS))
+def test_spec_reals_follow_the_one_rule(name, bound, value):
+    with pytest.raises(ValidationError, match=real_error(name, value, bound)):
+        _spec(name, value)
+
+
+@pytest.mark.parametrize("value", NUMPY_REALS)
+def test_numpy_reals_are_accepted_without_a_warning(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in _TRAJECTORY_REALS:
+            _trajectory(**{name: value})
+        for name in _SPEC_REALS:
+            if name != "dropout_fraction" or value < 1:
+                _spec(name, value)
+
+
+def test_numpy_scalars_give_the_same_output_as_python_numbers():
+    gt = _trajectory(seed=7, step_mean=0.5, rate_hz=2)
+    assert _trajectory(seed=np.uint8(7), step_mean=np.float32(0.5), rate_hz=np.int64(2)) == gt
+    spec = PerturbationSpec(drift_per_frame=(np.float32(0.5), 0, 0), noise_sigma_rot=np.float64(0.5),
+                            dropout_fraction=np.float32(0.25), seed=np.int64(3))
+    assert perturb(gt, spec) == perturb(gt, PerturbationSpec(
+        drift_per_frame=(0.5, 0.0, 0.0), noise_sigma_rot=0.5, dropout_fraction=0.25, seed=3))
+
+
+@pytest.mark.parametrize("rate_hz", [0.0, -30.0, math.nan, math.inf, True, "30"])
 def test_rate_must_be_finite_and_positive(rate_hz):
     # 0 divided by zero with a RuntimeWarning, and -30 failed as a non-increasing stamp
     with warnings.catch_warnings():
