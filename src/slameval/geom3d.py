@@ -232,10 +232,10 @@ def _count(name: str, value) -> int:
 
 def _real(name: str, value, low: float = -math.inf, above: bool = False):
     """The one rule for a real setting: a real number, not a bool, finite and >= low
-    (> low if above), returned with a numpy scalar as its Python number; anything else
-    raises ValidationError naming it. Exact comparisons: a huge int is never converted."""
+    (> low if above), returned with a numpy scalar as its Python number; anything else,
+    a longdouble too, raises ValidationError naming it. A huge int fails unconverted."""
     number = value.item() if isinstance(value, np.generic) else value
-    if isinstance(number, bool) or not isinstance(number, numbers.Real) or not (
+    if isinstance(number, (bool, np.generic)) or not isinstance(number, numbers.Real) or not (
             abs(number) <= sys.float_info.max and (number > low if above else number >= low)):
         bound = "" if low == -math.inf else f" and {'>' if above else '>='} {low}"
         raise ValidationError(f"{name} must be finite{bound}, got {value!r}")

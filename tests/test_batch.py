@@ -234,12 +234,15 @@ def test_batch_counts_follow_the_one_rule(tmp_path, monkeypatch, value):
         run_batch(manifest, jobs=value)
 
 
-# every real-valued option, with its bound
+# every real-valued option, with its bound, and the values it rejects
 _OPTION_REALS = {"max_time_diff": " and >= 0", "min_tracked": "", "gap_ratio_min": ""}
+_NOT_OPTION_REALS = [(name, value) for name in _OPTION_REALS for value in NOT_REALS] + [
+    ("max_time_diff", -1e-300),
+    ("min_tracked", np.longdouble(0.5)),  # no Python number holds it, so summary.json could not
+]
 
 
-@pytest.mark.parametrize("name, value", [(name, value) for name in _OPTION_REALS
-                                         for value in NOT_REALS] + [("max_time_diff", -1e-300)])
+@pytest.mark.parametrize("name, value", _NOT_OPTION_REALS)
 def test_batch_reals_follow_the_one_rule(name, value):
     with pytest.raises(ValidationError, match=real_error(name, value, _OPTION_REALS[name])):
         BatchOptions(**{name: value})
@@ -263,7 +266,7 @@ def test_numpy_real_options_give_the_same_report(tmp_path):
         write_report_bundle(run_batch(replace(manifest, options=options)), options, tmp_path / f"r{k}")
         summaries.append((tmp_path / f"r{k}" / "summary.json").read_bytes())
     assert summaries[1] == summaries[0]
-    assert b'"gap_ratio_min": 5,' in summaries[0]  # a manifest's 1 is echoed as 1
+    assert b'"gap_ratio_min": 5,' in summaries[0]  # an integer is echoed as an integer
 
 
 def test_numpy_integer_counts_give_the_same_report(tmp_path):
