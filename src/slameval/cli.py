@@ -188,9 +188,10 @@ def _cmd_synth(args) -> int:
         raise ValidationError(f"--frames must be >= 2, got {args.frames}")
     _real("--offset-yaw", args.offset_yaw)
     gt = _cli.random_trajectory(args.seed, args.frames, args.step_mean, args.turn_mean)
-    global_transform = None if args.offset is None else Pose(
+    # either flag makes the offset; the other defaults to zero
+    global_transform = None if args.offset is None and args.offset_yaw == 0.0 else Pose(
         Rotation.from_axis_angle([0.0, 0.0, 1.0], args.offset_yaw),
-        np.array(_parse_vec3(args.offset, "--offset")))
+        np.array(_parse_vec3("0,0,0" if args.offset is None else args.offset, "--offset")))
     spec = _cli.PerturbationSpec(
         global_transform=global_transform,
         drift_per_frame=_parse_vec3(args.drift, "--drift"),

@@ -220,13 +220,23 @@ def _segment_means(values: np.ndarray, counts) -> list[float]:
             for b, m in zip(ends, np.asarray(counts).tolist())]
 
 
+def _shown(value) -> str:
+    """repr(value), or for an int past the interpreter's limit on printed digits
+    (sys.get_int_max_str_digits()), a phrase that names the limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return (f"{'a negative' if value < 0 else 'an'} integer of more than"
+                f" {sys.get_int_max_str_digits()} digits")
+
+
 def _count(name: str, value) -> int:
     """The one rule for a count (a stride, an RPE delta, a job or frame count):
     an int or numpy integer, not a bool, in [1, sys.maxsize], returned as an int;
     anything else raises ValidationError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not (
             1 <= value <= sys.maxsize):
-        raise ValidationError(f"{name} must be an integer in [1, {sys.maxsize}], got {value!r}")
+        raise ValidationError(f"{name} must be an integer in [1, {sys.maxsize}], got {_shown(value)}")
     return int(value)
 
 
@@ -238,7 +248,7 @@ def _real(name: str, value, low: float = -math.inf, above: bool = False):
     if isinstance(number, (bool, np.generic)) or not isinstance(number, numbers.Real) or not (
             abs(number) <= sys.float_info.max and (number > low if above else number >= low)):
         bound = "" if low == -math.inf else f" and {'>' if above else '>='} {low}"
-        raise ValidationError(f"{name} must be finite{bound}, got {value!r}")
+        raise ValidationError(f"{name} must be finite{bound}, got {_shown(value)}")
     return number
 
 

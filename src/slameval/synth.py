@@ -11,18 +11,30 @@ The generated motion mimics a wheeled indoor robot: a smooth planar
 path at fixed camera height with yaw-only rotations facing the motion
 direction, sampled at 30 Hz.
 
-All randomness flows from a single integer seed through explicitly
-split generators, so identical inputs always give identical output.
+All randomness flows from a single integer seed through the standard
+library's ``random.Random``, whose ``random()`` stream Python keeps
+identical across releases for a given seed; numpy's ``Generator`` may
+change its algorithms between releases. ``random_trajectory`` draws
+from ``Random(4 * seed)`` and ``perturb`` from ``Random(4 * seed + k)``
+for k = 1, 2, 3: translation noise, rotation noise and dropout, so
+turning one stage on or off never changes another stage's draws.
+Every draw is a ``random()`` uniform in [0, 1): knots are 2u - 1,
+normals come from Box-Muller on arrays and dropout removes the frames
+holding the smallest uniforms. Files written by versions that drew from
+``numpy.random`` differ for every seed. Neither ``numpy.random`` nor,
+through it, OpenSSL is loaded.
 """
 
 from __future__ import annotations
 
+import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .geom3d import (Pose, Trajectory, _count, _real, quat_from_axis_angle, quat_mul,
+from .geom3d import (Pose, Trajectory, _count, _real, _shown, quat_from_axis_angle, quat_mul,
                      quat_normalize, quat_rotate)
 
 __all__ = ["PerturbationSpec", "random_trajectory", "perturb"]
@@ -60,20 +72,37 @@ class PerturbationSpec:
             _real(name, getattr(self, name), 0)
         if self.dropout_fraction >= 1:
             raise ValidationError("dropout_fraction must lie in [0, 1)")
-        _seed(self.seed)
+        object.__setattr__(self, "seed", _seed(self.seed))
 
 
 def _seed(seed) -> int:
-    """The one seed rule: an int or numpy integer, not a bool, >= 0."""
+    """The one seed rule: an int or numpy integer, not a bool, >= 0, short enough
+    to write in decimal, since it names the generated trajectory."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be >= 0 and an integer, got {seed!r}")
+        raise ValidationError(f"seed must be >= 0 and an integer, got {_shown(seed)}")
+    try:
+        str(seed)
+    except ValueError:
+        raise ValidationError(f"seed must be written in at most {sys.get_int_max_str_digits()}"
+                              f" digits, got {_shown(seed)}") from None
     return int(seed)
 
 
-def _smooth_profile(rng: np.random.Generator, n: int, knot_spacing: int = 25) -> np.ndarray:
+def _uniforms(rng: random.Random, m: int) -> np.ndarray:
+    """The next m draws of rng.random(), uniform in [0, 1), as one array."""
+    return np.fromiter(iter(rng.random, None), float, m)
+
+
+def _normals(rng: random.Random, m: int) -> np.ndarray:
+    """m standard normals by Box-Muller from the next 2m uniforms; u < 1 keeps the log finite."""
+    u = _uniforms(rng, 2 * m)
+    return np.sqrt(-2.0 * np.log1p(-u[:m])) * np.cos(2.0 * np.pi * u[m:])
+
+
+def _smooth_profile(rng: random.Random, n: int, knot_spacing: int = 25) -> np.ndarray:
     """Cosine-interpolated random knots: a smooth signal in [-1, 1]."""
     k = max(2, n // knot_spacing + 2)
-    knots = rng.uniform(-1.0, 1.0, size=k)
+    knots = 2.0 * _uniforms(rng, k) - 1.0
     x = np.arange(n) / knot_spacing
     i0 = np.clip(np.floor(x).astype(int), 0, k - 2)
     w = 0.5 - 0.5 * np.cos(np.pi * (x - i0))
@@ -101,12 +130,13 @@ def random_trajectory(
     n = _count("n", n)
     if n < 2:
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
-    rng = np.random.default_rng(_seed(seed))
+    seed = _seed(seed)
+    rng = random.Random(4 * seed)
     for name, value in (("step_mean", step_mean), ("turn_mean", turn_mean), ("height", height)):
         _real(name, value)
     _real("rate_hz", rate_hz, 0, above=True)
 
-    heading0 = rng.uniform(0.0, 2.0 * np.pi)
+    heading0 = 2.0 * np.pi * rng.random()
     turn_profile = _smooth_profile(rng, n - 1)
     speed_profile = _smooth_profile(rng, n - 1)
 
@@ -152,24 +182,22 @@ def perturb(gt: Trajectory, spec: PerturbationSpec) -> Trajectory:
             q = quat_normalize(quat_mul(d, q))
         xyz = xyz + i[:, None] * drift_vec
 
-    rng_trans, rng_rot, rng_drop = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
-    )
+    rng_trans, rng_rot, rng_drop = (random.Random(4 * spec.seed + k) for k in (1, 2, 3))
 
     if spec.noise_sigma_trans > 0.0:
-        xyz = xyz + rng_trans.normal(0.0, spec.noise_sigma_trans, size=(n, 3))
+        xyz = xyz + spec.noise_sigma_trans * _normals(rng_trans, 3 * n).reshape(n, 3)
 
     if spec.noise_sigma_rot > 0.0:
-        axes = rng_rot.normal(size=(n, 3))
+        axes = _normals(rng_rot, 3 * n).reshape(n, 3)
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        angles = rng_rot.normal(0.0, spec.noise_sigma_rot, size=n)
+        angles = spec.noise_sigma_rot * _normals(rng_rot, n)
         wobble = quat_normalize(quat_from_axis_angle(axes, angles))
         q = quat_normalize(quat_mul(wobble, q))
 
     if spec.dropout_fraction > 0.0:
         n_drop = min(int(round(n * spec.dropout_fraction)), n - 1)
         keep = np.ones(n, dtype=bool)
-        keep[rng_drop.choice(n, size=n_drop, replace=False)] = False
+        keep[np.argsort(_uniforms(rng_drop, n), kind="stable")[:n_drop]] = False
         t, xyz, q = t[keep], xyz[keep], q[keep]
 
     return Trajectory.from_arrays(t, xyz, q, gt.traj_id)

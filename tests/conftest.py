@@ -23,24 +23,46 @@ from slameval.synth import PerturbationSpec, perturb
 from slameval.trajio import save_tum
 
 
-# values every count (a stride, an RPE delta, a job or frame count) rejects
-NOT_COUNTS = [0, -1, 2.5, True, "2", np.float64(2.0), 2**63]
+# values every count (a stride, an RPE delta, a job or frame count) rejects; 10**5000 is
+# past the interpreter's limit on printed digits
+NOT_COUNTS = [0, -1, 2.5, True, "2", np.float64(2.0), 2**63, 10**5000]
+
+
+def _unprintable(value) -> bool:
+    """An int past the interpreter's limit on printed digits, which repr refuses;
+    0, or no such limit (before Python 3.10.7), means none."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return isinstance(value, int) and limit > 0 and abs(value) >= 10**limit
+
+
+def shown(value) -> str:
+    """How a message shows a rejected value: its repr, or for an int too long to
+    print, a phrase that names the digit limit."""
+    if _unprintable(value):
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of more than {sys.get_int_max_str_digits()} digits"
+    return repr(value)
+
+
+def pytest_make_parametrize_id(config, val, argname):
+    """Name a case with an int too long to print as the messages show it."""
+    return shown(val) if _unprintable(val) else None
 
 
 def count_error(name: str, value) -> str:
     """The pattern of the one message a rejected count raises."""
-    return "^" + re.escape(f"{name} must be an integer in [1, {sys.maxsize}], got {value!r}") + "$"
+    return "^" + re.escape(f"{name} must be an integer in [1, {sys.maxsize}], got {shown(value)}") + "$"
 
 
 # values every real-valued setting (a tolerance, threshold, size, rate or drift) rejects,
 # and numpy scalars every one accepts
-NOT_REALS = ["1", True, None, 10**400, math.nan, math.inf, -math.inf]
+NOT_REALS = ["1", True, None, 10**400, 10**5000, math.nan, math.inf, -math.inf]
 NUMPY_REALS = [np.float32(0.5), np.float64(0.5), np.int64(2)]
 
 
 def real_error(name: str, value, bound: str = "") -> str:
     """The pattern of the one message a rejected real raises; bound is e.g. " and >= 0"."""
-    return "^" + re.escape(f"{name} must be finite{bound}, got {value!r}") + "$"
+    return "^" + re.escape(f"{name} must be finite{bound}, got {shown(value)}") + "$"
 
 
 def precise_angle_between(a: Rotation, b: Rotation) -> float:

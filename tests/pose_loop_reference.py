@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from typing import IO, Iterable
 
 import numpy as np
 
 from slameval.errors import EmptyAssociationError, ParseError, SlamEvalError, ValidationError
 from slameval.geom3d import Pose, Rotation, Trajectory, compose, quat_mul, quat_normalize
-from slameval.synth import PerturbationSpec, _smooth_profile
+from slameval.synth import PerturbationSpec, _normals, _smooth_profile, _uniforms
 from slameval.trajio import Association
 
 
@@ -141,9 +142,9 @@ def random_trajectory(
 ) -> Trajectory:
     if n < 2:
         raise ValidationError(f"random_trajectory needs n >= 2, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(4 * seed)
 
-    heading0 = rng.uniform(0.0, 2.0 * np.pi)
+    heading0 = 2.0 * np.pi * rng.random()
     turn_profile = _smooth_profile(rng, n - 1)
     speed_profile = _smooth_profile(rng, n - 1)
 
@@ -193,20 +194,18 @@ def perturb(gt: Trajectory, spec: PerturbationSpec) -> Trajectory:
             drifted.append(Pose(rotation, p.translation + i * drift_vec, p.timestamp))
         poses = drifted
 
-    rng_trans, rng_rot, rng_drop = (
-        np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(3)
-    )
+    rng_trans, rng_rot, rng_drop = (random.Random(4 * spec.seed + k) for k in (1, 2, 3))
 
     if spec.noise_sigma_trans > 0.0:
-        noise = rng_trans.normal(0.0, spec.noise_sigma_trans, size=(len(poses), 3))
+        noise = spec.noise_sigma_trans * _normals(rng_trans, 3 * len(poses)).reshape(-1, 3)
         poses = [
             Pose(p.rotation, p.translation + noise[i], p.timestamp) for i, p in enumerate(poses)
         ]
 
     if spec.noise_sigma_rot > 0.0:
-        axes = rng_rot.normal(size=(len(poses), 3))
+        axes = _normals(rng_rot, 3 * len(poses)).reshape(-1, 3)
         axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-        angles = rng_rot.normal(0.0, spec.noise_sigma_rot, size=len(poses))
+        angles = spec.noise_sigma_rot * _normals(rng_rot, len(poses))
         noisy = []
         for i, p in enumerate(poses):
             wobble = _axis_angle(axes[i], float(angles[i]))
@@ -216,7 +215,8 @@ def perturb(gt: Trajectory, spec: PerturbationSpec) -> Trajectory:
     if spec.dropout_fraction > 0.0:
         n = len(poses)
         n_drop = min(int(round(n * spec.dropout_fraction)), n - 1)
-        drop = set(rng_drop.choice(n, size=n_drop, replace=False).tolist())
+        u = _uniforms(rng_drop, n).tolist()
+        drop = set(sorted(range(n), key=u.__getitem__)[:n_drop])
         poses = [p for i, p in enumerate(poses) if i not in drop]
 
     return Trajectory(tuple(poses), gt.traj_id)

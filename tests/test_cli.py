@@ -303,6 +303,19 @@ def test_synth_bad_number_is_one_error_line_naming_it(tmp_path, capsys, flags, m
     assert not gt_out.exists() and not est_out.exists()
 
 
+def test_synth_offset_yaw_alone_turns_the_estimate(tmp_path, capsys):
+    # the yaw was ignored unless --offset was given too
+    def estimate(name, *flags):
+        argv = ["synth", "--seed", "3", "--frames", "60", "--gt-out", str(tmp_path / f"gt_{name}.txt"),
+                "--est-out", str(tmp_path / f"{name}.txt"), *flags]
+        assert main(argv) == EXIT_OK
+        return (tmp_path / f"{name}.txt").read_bytes()
+
+    alone = estimate("alone", "--offset-yaw", "0.7")
+    assert alone == estimate("zero", "--offset", "0,0,0", "--offset-yaw", "0.7")
+    assert alone != estimate("none")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     code = main(["ate", str(tmp_path / "none.txt"), str(tmp_path / "none.txt")])
     capsys.readouterr()

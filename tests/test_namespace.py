@@ -1,5 +1,5 @@
-"""The lazy package namespace, the modules each CLI command loads and the
-CLI's single-threaded BLAS default.
+"""The lazy package namespace, the modules each CLI command loads (synth
+without numpy.random) and the CLI's single-threaded BLAS default.
 
 Each check runs in a fresh interpreter, since the test process has long
 imported numpy and the whole package.
@@ -131,6 +131,21 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
     code, loaded = json.loads(out.splitlines()[-1])
     assert code == 0
     assert loaded == sorted(f"slameval.{m}" for m in _BASE + own)
+
+
+def test_synth_loads_neither_numpy_random_nor_openssl(tmp_path):
+    # numpy.random imports secrets, which loads OpenSSL's libcrypto through _hashlib
+    argv = ["synth", "--gt-out", f"{tmp_path}/g.txt", "--est-out", f"{tmp_path}/e.txt",
+            "--frames", "50", "--offset", "1,2,3", "--drift", "0.001,0,0", "--drift-rot", "0.001",
+            "--noise-trans", "0.01", "--noise-rot", "0.01", "--dropout", "0.1"]
+    out = _run(
+        "import json, sys\n"
+        "from slameval.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, [m for m in ('numpy.random', 'secrets', '_hashlib')"
+        " if m in sys.modules]]))\n"
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, []]
 
 
 def test_report_reexports_the_json_writer_of_trajio():

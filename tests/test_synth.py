@@ -1,5 +1,7 @@
 import math
+import random
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -90,7 +92,10 @@ def test_perturb_is_deterministic():
 
 def test_drift_only_matches_analytic_rpe():
     gt = random_trajectory(seed=58, n=200, step_mean=0.006, turn_mean=0.02)
-    est = perturb(gt, PerturbationSpec(drift_per_frame=(0.01, 0.0, 0.0)))
+    # along the chord from the first to the last pose the drift stretches the path,
+    # which no rigid alignment absorbs, whatever the path's shape
+    chord = gt.xyz[-1] - gt.xyz[0]
+    est = perturb(gt, PerturbationSpec(drift_per_frame=tuple(0.01 * chord / np.linalg.norm(chord))))
     assoc = associate_by_index(gt, est)
     report = rpe(gt, est, assoc, delta=1)
     assert abs(report.trans_rmse - 0.01) <= 1e-12
@@ -144,7 +149,7 @@ def test_spec_validation():
 
 
 def test_negative_seed_is_a_validation_error():
-    # numpy's SeedSequence raises a bare ValueError for these
+    # numpy's SeedSequence raised a bare ValueError for these
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         random_trajectory(seed=-1, n=10, step_mean=0.01, turn_mean=0.0)
     with pytest.raises(ValidationError, match="seed must be >= 0"):
@@ -159,6 +164,52 @@ def test_a_seed_must_be_an_integer(seed):
         random_trajectory(seed=seed, n=10, step_mean=0.01, turn_mean=0.0)
     with pytest.raises(ValidationError, match=message):
         PerturbationSpec(seed=seed)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (10**5000, "seed must be written in at most {limit} digits,"
+               " got an integer of more than {limit} digits"),
+    (-10**5000, "seed must be >= 0 and an integer, got a negative integer of more than {limit} digits"),
+], ids=["huge", "huge-negative"])
+def test_a_seed_too_long_to_print_is_a_validation_error(seed, message):
+    # naming the trajectory synth_<seed> raised the interpreter's ValueError
+    message = "^" + re.escape(message.format(limit=sys.get_int_max_str_digits())) + "$"
+    with pytest.raises(ValidationError, match=message):
+        random_trajectory(seed=seed, n=10, step_mean=0.01, turn_mean=0.0)
+    with pytest.raises(ValidationError, match=message):
+        PerturbationSpec(seed=seed)
+
+
+def test_draws_follow_the_documented_streams():
+    # Random(4 seed) for the path, Random(4 seed + k) for the noise and dropout stages
+    n, seed, sigma = 50, 9, 0.01
+    gt = random_trajectory(seed=seed, n=n, step_mean=0.0, turn_mean=0.0)
+    heading0 = 2.0 * math.pi * random.Random(4 * seed).random()
+    yaw = 2.0 * math.atan2(gt.q[0, 3], gt.q[0, 0])
+    assert abs(math.remainder(yaw - heading0, 2.0 * math.pi)) <= 1e-12
+
+    est = perturb(gt, PerturbationSpec(noise_sigma_trans=sigma, dropout_fraction=0.5, seed=seed))
+    trans, drop = random.Random(4 * seed + 1), random.Random(4 * seed + 3)
+    u = [trans.random() for _ in range(6 * n)]
+    noise = [sigma * math.sqrt(-2.0 * math.log1p(-u[j])) * math.cos(2.0 * math.pi * u[3 * n + j])
+             for j in range(3 * n)]
+    d = [drop.random() for _ in range(n)]
+    kept = sorted(sorted(range(n), key=d.__getitem__)[n // 2:])
+    assert np.array_equal(est.t, gt.t[kept])
+    assert np.allclose(est.xyz - gt.xyz[kept], np.reshape(noise, (n, 3))[kept], rtol=0, atol=1e-15)
+
+
+def test_each_stage_draws_its_own_stream():
+    gt = random_trajectory(seed=64, n=300, step_mean=0.006, turn_mean=0.02)
+    alone = perturb(gt, PerturbationSpec(noise_sigma_trans=0.01, seed=5))
+    dropped = perturb(gt, PerturbationSpec(dropout_fraction=0.3, seed=5))
+    for others in ({"noise_sigma_rot": 0.01}, {"dropout_fraction": 0.3},
+                   {"noise_sigma_rot": 0.01, "dropout_fraction": 0.3}):
+        est = perturb(gt, PerturbationSpec(noise_sigma_trans=0.01, seed=5, **others))
+        kept = np.searchsorted(gt.t, est.t)
+        assert np.array_equal(est.xyz, alone.xyz[kept])
+        if "dropout_fraction" in others:
+            assert np.array_equal(est.t, dropped.t)
 
 
 # every real setting of the synthetic motion and of a perturbation, with its bound
@@ -214,7 +265,8 @@ def test_numpy_reals_are_accepted_without_a_warning(value):
 
 def test_numpy_scalars_give_the_same_output_as_python_numbers():
     gt = _trajectory(seed=7, step_mean=0.5, rate_hz=2)
-    assert _trajectory(seed=np.uint8(7), step_mean=np.float32(0.5), rate_hz=np.int64(2)) == gt
+    for seed in (np.uint8(7), np.int64(7)):
+        assert _trajectory(seed=seed, step_mean=np.float32(0.5), rate_hz=np.int64(2)) == gt
     spec = PerturbationSpec(drift_per_frame=(np.float32(0.5), 0, 0), noise_sigma_rot=np.float64(0.5),
                             dropout_fraction=np.float32(0.25), seed=np.int64(3))
     assert perturb(gt, spec) == perturb(gt, PerturbationSpec(
