@@ -34,11 +34,15 @@ All options are optional and default as above; ``rpe_delta`` and
 ``max_time_diff`` >= 0. ``sequence_id`` and ``gt_path`` are non-empty
 strings. Relative paths resolve against the manifest's directory.
 
-The runner splits the sequences into shares, one per worker process,
-this process included. A share's files are read one by one, and all of
-its runs are scored in one array pass. A run's numbers do not depend on
-what else is in its pass, and results are reduced in manifest order, so
-the report is byte-identical at every job count.
+The runner splits the sequences into shares and evaluates the first in
+this process. ``multiprocessing`` workers, forked on Linux when no other
+thread runs and spawned elsewhere, evaluate the others and send their
+results back over a pipe; a worker's failure reads the same everywhere.
+A daemonic caller, which may start no process, evaluates every share. A
+share's files are read one by one, and all of its runs are scored in one
+array pass. A run's numbers do not depend on what else is in its pass,
+and results are reduced in manifest order, so the report is
+byte-identical at every job count.
 """
 
 from __future__ import annotations
@@ -338,106 +342,79 @@ def _fork_is_safe() -> bool:
     return sys.platform == "linux" and threading.active_count() == 1
 
 
-def _send_share(fd: int, share, options: BatchOptions) -> None:
-    """In a forked child: evaluate the share, send (True, results) or (False,
-    exception, traceback) through fd, and leave without running exit handlers
-    or flushing the buffers copied from the parent."""
-    import pickle
-
+def _send_share(conn, share, options: BatchOptions) -> None:
+    """In a worker: send (True, results) or (False, exception, traceback) through conn."""
     try:
+        message = (True, _evaluate_share(share, options))
+    except BaseException as exc:  # sent to the parent, which raises it
+        import pickle
+        import traceback
+
+        message = (False, exc, traceback.format_exc())
         try:
-            message = (True, _evaluate_share(share, options))
-        except BaseException as exc:  # sent to the parent, which raises it
-            import traceback
-
-            message = (False, exc, traceback.format_exc())
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                message = (False, RuntimeError(f"{type(exc).__name__}: {exc}"), message[2])
-        with os.fdopen(fd, "wb") as pipe:
-            pickle.dump(message, pipe)
-    finally:
-        os._exit(0)
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # one that cannot be pickled is sent as a RuntimeError naming it
+            message = (False, RuntimeError(f"{type(exc).__name__}: {exc}"), message[2])
+    conn.send(message)
 
 
-def _forked_shares(shares: list, options: BatchOptions) -> list:
-    """shares[1:] in forked children and shares[0] here, results in share order.
+def _evaluate_shares(shares: list, options: BatchOptions) -> list:
+    """Each share's results in share order, shares[1:] from workers that run
+    _send_share. Every worker is joined before this returns or raises. The
+    first error, this process's own first, is raised: a share's exception
+    with its type and message, or ChildProcessError for a worker that sent
+    no whole result."""
+    if len(shares) > 1:
+        import multiprocessing
 
-    Every child is reaped before this returns or raises. The first error,
-    this process's own first, is raised: a share's exception with its type
-    and message, or ChildProcessError for a child that sent no whole result.
-    """
-    import pickle
-
-    children: list[tuple[int, int]] = []
+        if multiprocessing.current_process().daemon:
+            return [_evaluate_share(share, options) for share in shares]
+        context = multiprocessing.get_context("fork" if _fork_is_safe() else "spawn")
+    workers: list = []
     results: list = [None]
     errors: list[BaseException] = []
     try:
         for share in shares[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _send_share(write_fd, share, options)
-            os.close(write_fd)
-            children.append((pid, read_fd))
+            reader, writer = context.Pipe(duplex=False)
+            worker = context.Process(target=_send_share, args=(writer, share, options), daemon=True)
+            with writer:  # closed here, so the pipe ends when the worker does
+                worker.start()
+            workers.append((worker, reader))
         results[0] = _evaluate_share(shares[0], options)
     except BaseException as exc:
         errors.append(exc)
-    for pid, read_fd in children:
-        with os.fdopen(read_fd, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for worker, reader in workers:
+        with reader:
+            try:
+                message = reader.recv()
+            except Exception:  # EOF, a part of a frame or bytes that do not load: no whole result
+                message = None
+        worker.join()
         if errors:
             continue
-        try:
-            message = pickle.loads(data)
-        except Exception:  # nothing or a part sent: the child died before it was done
+        if message is None:
+            code = worker.exitcode
             ended = f"exit status {code}" if code >= 0 else f"signal {-code}"
-            errors.append(ChildProcessError(f"batch worker {pid} ended by {ended} "
+            errors.append(ChildProcessError(f"batch worker {worker.pid} ended by {ended} "
                                             f"without sending its result"))
-            continue
-        if message[0]:
+        elif message[0]:
             results.append(message[1])
         else:
             exc = message[1]
-            exc.__cause__ = RuntimeError(f"in batch worker {pid}:\n{message[2]}")
+            exc.__cause__ = RuntimeError(f"in batch worker {worker.pid}:\n{message[2]}")
             errors.append(exc)
     if errors:
         raise errors[0]
     return results
 
 
-def _pooled_shares(shares: list, options: BatchOptions) -> list:
-    """shares[1:] in a pool of spawned processes and shares[0] here, results in share
-    order; a worker that dies raises ChildProcessError, as on the fork path."""
-    import multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-    context = multiprocessing.get_context("spawn")
-    try:
-        with ProcessPoolExecutor(max_workers=len(shares) - 1, mp_context=context) as pool:
-            futures = [pool.submit(_evaluate_share, share, options) for share in shares[1:]]
-            first = _evaluate_share(shares[0], options)
-            return [first, *(future.result() for future in futures)]
-    except BrokenExecutor as exc:
-        raise ChildProcessError(f"a batch worker ended without sending its result ({exc})") from exc
-
-
 def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     """Evaluate every manifest entry and summarize the cohort.
 
     jobs > 1 splits the entries into min(jobs, sequences, usable CPUs)
-    interleaved shares. This process evaluates the first; on Linux the
-    others go to forked children, elsewhere (or with other threads alive)
-    to a pool of spawned processes. Results are reduced in manifest order,
-    and each share's numbers are those of its entries alone, so the
+    interleaved shares. This process evaluates the first, worker processes
+    the others (see _evaluate_shares). Results are reduced in manifest
+    order, and each share's numbers are those of its entries alone, so the
     report is bit-identical at every job count.
     """
     jobs = _count("jobs", jobs)
@@ -446,9 +423,7 @@ def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
 
     workers = max(1, min(jobs, len(entries), _usable_cpus()))
     shares = [entries[k::workers] for k in range(workers)]
-    # one share forks nothing: this process evaluates it on every platform
-    fan_out = _forked_shares if workers == 1 or _fork_is_safe() else _pooled_shares
-    done = fan_out(shares, options)
+    done = _evaluate_shares(shares, options)
     evaluated: list = [None] * len(entries)
     for k, share_results in enumerate(done):
         evaluated[k::workers] = share_results

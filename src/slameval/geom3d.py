@@ -196,9 +196,18 @@ def quat_from_axis_angle(axis: Sequence[float], angle: float) -> np.ndarray:
     """Quaternions for rotations of ``angle`` radians about ``axis``, broadcasting."""
     axis = np.asarray(axis, dtype=float)
     # the dot product np.linalg.norm takes of one vector: stacks match single calls bitwise
-    norm = np.sqrt(axis[..., None, :] @ axis[..., :, None])[..., 0]
-    if np.any(norm == 0.0):
-        raise ValidationError("rotation axis must be nonzero")
+    with np.errstate(over="ignore"):
+        squared = axis[..., None, :] @ axis[..., :, None]
+    # an axis whose squared norm overflows or is below the normal floats (or is 0) is
+    # divided by its largest |component| first; every other axis keeps its bits
+    lost = ((squared > sys.float_info.max) | (squared < sys.float_info.min))[..., 0]
+    if np.any(lost):
+        largest = np.max(np.abs(axis), axis=-1, keepdims=True)
+        if np.any(largest == 0.0):
+            raise ValidationError("rotation axis must be nonzero")
+        axis = axis / np.where(lost, largest, 1.0)
+        squared = axis[..., None, :] @ axis[..., :, None]
+    norm = np.sqrt(squared)[..., 0]
     half = 0.5 * np.asarray(angle, dtype=float)[..., None]
     return quat_normalize(np.concatenate([np.cos(half), np.sin(half) * (axis / norm)], axis=-1))
 

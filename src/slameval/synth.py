@@ -67,6 +67,8 @@ class PerturbationSpec:
             if len(vec) != 3:
                 raise ValidationError("drift vectors must have 3 components")
             object.__setattr__(self, name, vec)
+        if not any(self.drift_rot_axis):
+            raise ValidationError(f"drift_rot_axis must be nonzero, got {self.drift_rot_axis!r}")
         _real("drift_rot_per_frame", self.drift_rot_per_frame)
         for name in ("noise_sigma_trans", "noise_sigma_rot", "dropout_fraction"):
             _real(name, getattr(self, name), 0)

@@ -12,14 +12,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import re
+import struct
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
+from slameval import batch
 from slameval.geom3d import Pose, Rotation, Trajectory, quat_conj, quat_mul, relative
 from slameval.synth import PerturbationSpec, perturb
+from slameval.report import dump_json, summary_to_dict
 from slameval.trajio import save_tum
 
 
@@ -136,3 +142,47 @@ def build_synth_cohort(
             {"sequence_id": seq_id, "gt_path": gt_rel, "estimate_paths": est_rels}
         )
     return write_manifest(root / "manifest.json", sequences, **options)
+
+
+# Stand-ins for batch._send_share, the target a batch worker runs. A spawned worker
+# imports its target by name and sees no monkeypatch of the parent, so they live here.
+_SEND_SHARE = batch._send_share
+
+
+def worker_that_exits(conn, share, options):
+    """Ends the worker with exit status 3 before it sends anything."""
+    os._exit(3)
+
+
+def worker_that_sends_half(conn, share, options):
+    """Writes a frame's 4-byte length and half of its pickle, a result larger than
+    a pipe holds, then ends the worker with exit status 4."""
+    data = pickle.dumps((True, [], bytes(1 << 18)))
+    os.write(conn.fileno(), struct.pack("!i", len(data)) + data[: len(data) // 2])
+    os._exit(4)
+
+
+def _send_share_raising(error: BaseException, conn, share, options):
+    """The real target, in a worker whose every file read raises error."""
+    def load_tum(path):
+        raise error
+
+    batch.load_tum = load_tum  # this worker's own module
+    _SEND_SHARE(conn, share, options)
+
+
+def worker_that_raises(conn, share, options):
+    """The real target on a share that raises ZeroDivisionError naming its first sequence."""
+    _send_share_raising(ZeroDivisionError(f"boom in {share[0].sequence_id}"), conn, share, options)
+
+
+def worker_whose_error_cannot_be_pickled(conn, share, options):
+    """As worker_that_raises, with a lock on the error, which pickle refuses."""
+    error = ZeroDivisionError(f"boom in {share[0].sequence_id}")
+    error.lock = threading.Lock()
+    _send_share_raising(error, conn, share, options)
+
+
+def report_at_two_jobs(manifest) -> str:
+    """The summary.json text of run_batch(manifest, jobs=2), for a call in a pool worker."""
+    return dump_json(summary_to_dict(batch.run_batch(manifest, jobs=2), manifest.options))

@@ -1,17 +1,14 @@
-import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
-import pickle
 import signal
 import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,6 +24,7 @@ from slameval.synth import PerturbationSpec, perturb, random_trajectory
 from slameval.trajio import associate, associate_by_index, load_tum, save_tum
 from slameval.trajstats import resample_stride
 
+import conftest
 from conftest import (NOT_COUNTS, NOT_REALS, NUMPY_REALS, build_synth_cohort, count_error,
                       real_error, write_manifest)
 
@@ -304,23 +302,17 @@ def _usable_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
-class _RecordingPool:
-    """A stand-in executor: records its size in `sizes` and runs each submission here."""
+def _count_workers(monkeypatch) -> list:
+    """Record the pid of each process multiprocessing starts here in the returned list."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
 
-    sizes: list = []
+    def recording_start(self):
+        start(self)
+        started.append(self.pid)
 
-    def __init__(self, max_workers, mp_context=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        result = fn(*args)
-        return SimpleNamespace(result=lambda: result)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+    return started
 
 
 @pytest.mark.parametrize("n_seq, jobs, pool", [
@@ -331,22 +323,23 @@ class _RecordingPool:
     (9, 2, [1]),
 ])
 def test_batch_pool_is_bounded_by_the_sequence_count(tmp_path, monkeypatch, n_seq, jobs, pool):
-    # min(jobs, sequences) - 1 workers beside this process: forked children or a pool's size
+    # min(jobs, sequences) - 1 workers beside this process ([that count] in pool, None for
+    # none): forked where fork is safe, spawned where it is not, and all of them joined
     _usable_cpus(monkeypatch, 64)
     forks = _count_forks(monkeypatch)
+    started = _count_workers(monkeypatch)
+    workers = 0 if pool is None else pool[0]
     manifest = load_manifest(_small_cohort(tmp_path, n_seq=n_seq, runs=1, frames=30))
     serial = dump_json(summary_to_dict(run_batch(manifest, jobs=1), manifest.options))
     outcome = run_batch(manifest, jobs=jobs)
-    assert len(forks) == (0 if pool is None else pool[0]) * _FORKS
+    assert len(started) == workers and len(forks) == workers * _FORKS
     assert outcome.evaluated_count == n_seq
 
     monkeypatch.setattr(batch, "_fork_is_safe", lambda: False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    pooled = run_batch(manifest, jobs=jobs)
-    assert _RecordingPool.sizes == ([] if pool is None else pool)
-    assert len(forks) == (0 if pool is None else pool[0]) * _FORKS
-    assert dump_json(summary_to_dict(pooled, manifest.options)) == serial
+    spawned = run_batch(manifest, jobs=jobs)
+    assert len(started) == 2 * workers and len(forks) == workers * _FORKS
+    assert _all_reaped(started)
+    assert dump_json(summary_to_dict(spawned, manifest.options)) == serial
 
 
 @pytest.mark.parametrize("cpus, affinity, forks", [(1, True, 0), (2, True, 1), (3, False, 2)])
@@ -549,42 +542,111 @@ def test_a_child_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, h
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the fork path runs on Linux")
 def test_a_child_that_dies_while_sending_is_an_error(tmp_path, monkeypatch):
-    # each child sends half of a result larger than a pipe holds, then exits
+    # each child sends a frame's length and half of its pickle, then exits
     manifest = _cohort_of_three(tmp_path, monkeypatch)
-
-    def half_send(fd, share, options):
-        data = pickle.dumps((True, batch._evaluate_share(share, options), bytes(1 << 18)))
-        os.write(fd, data[: len(data) // 2])
-        os._exit(4)
-
-    monkeypatch.setattr(batch, "_send_share", half_send)
+    monkeypatch.setattr(batch, "_send_share", conftest.worker_that_sends_half)
     forks = _count_forks(monkeypatch)
     with pytest.raises(ChildProcessError, match="ended by exit status 4 without sending its"):
         run_batch(manifest, jobs=3)
     assert len(forks) == 2 and _all_reaped(forks)
 
 
-class _BrokenPool(_RecordingPool):
-    """A stand-in executor whose workers all die before sending a result."""
-
-    def submit(self, fn, *args):
-        def result():
-            raise BrokenProcessPool("a process in the pool was terminated abruptly")
-        return SimpleNamespace(result=result)
-
-
 def test_a_broken_spawned_pool_is_a_child_process_error(tmp_path, monkeypatch, capsys):
-    # where fork is unsafe, a dead pool worker ends the batch as on the fork path: exit 2
+    # where fork is unsafe, a spawned worker that dies ends the batch as on the fork path: exit 2
     _usable_cpus(monkeypatch, 4)
     monkeypatch.setattr(batch, "_fork_is_safe", lambda: False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _BrokenPool)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(batch, "_send_share", conftest.worker_that_exits)
+    started = _count_workers(monkeypatch)
     path = _small_cohort(tmp_path, n_seq=3, runs=1, frames=30)
-    with pytest.raises(ChildProcessError, match="terminated abruptly") as info:
+    with pytest.raises(ChildProcessError) as info:
         run_batch(load_manifest(path), jobs=2)
-    assert isinstance(info.value.__cause__, BrokenProcessPool)
+    ended = "ended by exit status 3 without sending its result"
+    assert str(info.value) == f"batch worker {started[0]} {ended}"
     assert main(["batch", str(path), "--out", str(tmp_path / "r"), "--jobs", "2"]) == EXIT_BAD_INPUT
-    assert capsys.readouterr().err.startswith("error: a batch worker ended without sending")
+    assert capsys.readouterr().err == f"error: batch worker {started[1]} {ended}\n"
+    assert len(started) == 2 and _all_reaped(started)
+
+
+def _start_method(monkeypatch, method: str) -> None:
+    """Make run_batch start its workers by method, "fork" or "spawn"."""
+    monkeypatch.setattr(batch, "_fork_is_safe", lambda: method == "fork")
+
+
+_METHODS = [pytest.param("fork", marks=pytest.mark.skipif(not _FORKS, reason="fork is Linux's")),
+            "spawn"]
+
+
+@pytest.mark.parametrize("share", [0, 1])
+def test_a_share_that_raises_in_a_spawned_worker_is_raised_after_every_worker_is_joined(
+        tmp_path, monkeypatch, share):
+    # every worker's share raises, and with share 0 this process's too: the first error wins
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+    _start_method(monkeypatch, "spawn")
+    monkeypatch.setattr(batch, "_send_share", conftest.worker_that_raises)
+    if share == 0:
+        def failing_load(path):
+            raise ZeroDivisionError(f"boom in {manifest.entries[0].sequence_id}")
+
+        monkeypatch.setattr(batch, "load_tum", failing_load)
+    started = _count_workers(monkeypatch)
+    with pytest.raises(ZeroDivisionError) as info:
+        run_batch(manifest, jobs=3)
+    assert str(info.value) == f"boom in {manifest.entries[share].sequence_id}"
+    assert len(started) == 2 and _all_reaped(started)
+    if share:
+        assert str(info.value.__cause__).startswith(f"in batch worker {started[0]}:\n")
+        assert "ZeroDivisionError" in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("method", _METHODS)
+def test_an_error_that_cannot_be_pickled_is_sent_as_a_runtime_error(tmp_path, monkeypatch,
+                                                                    method):
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+    _start_method(monkeypatch, method)
+    monkeypatch.setattr(batch, "_send_share", conftest.worker_whose_error_cannot_be_pickled)
+    started = _count_workers(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        run_batch(manifest, jobs=3)
+    assert str(info.value) == f"ZeroDivisionError: boom in {manifest.entries[1].sequence_id}"
+    assert str(info.value.__cause__).startswith(f"in batch worker {started[0]}:\n")
+    assert len(started) == 2 and _all_reaped(started)
+
+
+@pytest.mark.parametrize("target, ended", [("worker_that_exits", "exit status 3"),
+                                           ("worker_that_sends_half", "exit status 4")])
+def test_a_spawned_worker_that_dies_without_a_result_is_an_error(tmp_path, monkeypatch, target,
+                                                                 ended):
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+    _start_method(monkeypatch, "spawn")
+    monkeypatch.setattr(batch, "_send_share", getattr(conftest, target))
+    started = _count_workers(monkeypatch)
+    with pytest.raises(ChildProcessError) as info:
+        run_batch(manifest, jobs=3)
+    ended = f"ended by {ended} without sending its result"
+    assert str(info.value) == f"batch worker {started[0]} {ended}"
+    assert len(started) == 2 and _all_reaped(started)
+
+
+@pytest.mark.skipif(not _FORKS, reason="the fork path runs on Linux")
+def test_a_forked_worker_that_dies_ends_the_batch_command_with_exit_2(tmp_path, monkeypatch,
+                                                                      capsys):
+    _usable_cpus(monkeypatch, 4)
+    monkeypatch.setattr(batch, "_send_share", conftest.worker_that_exits)
+    started = _count_workers(monkeypatch)
+    path = _small_cohort(tmp_path, n_seq=3, runs=1, frames=30)
+    assert main(["batch", str(path), "--out", str(tmp_path / "r"), "--jobs", "2"]) == EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (f"error: batch worker {started[0]} ended by exit status 3"
+                                       f" without sending its result\n")
+    assert len(started) == 1 and _all_reaped(started)
+
+
+def test_a_daemonic_caller_evaluates_every_share_itself(tmp_path, monkeypatch):
+    # Process.start refuses a daemonic process children, so a batch in a pool worker is serial
+    manifest = _cohort_of_three(tmp_path, monkeypatch)
+    serial = dump_json(summary_to_dict(run_batch(manifest, jobs=1), manifest.options))
+    with multiprocessing.get_context("fork" if _FORKS else "spawn").Pool(1) as pool:
+        report = pool.apply_async(conftest.report_at_two_jobs, (manifest,)).get(timeout=120)
+    assert report == serial
 
 
 def test_a_manifest_without_entries_evaluates_nothing():

@@ -13,6 +13,7 @@ from slameval.geom3d import (
     compose,
     inverse,
     quat_angle,
+    quat_from_axis_angle,
     quat_from_matrix,
     relative,
     trans,
@@ -203,6 +204,19 @@ def test_angle_of_is_axis_invariant():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         assert abs(angle_of(Rotation.from_axis_angle(axis, theta)) - theta) <= 1e-9
+
+
+def test_axis_angle_takes_an_axis_of_any_magnitude():
+    # squared norms that overflow, underflow or are subnormal, beside an ordinary axis
+    axes = [[1e300, 1e300, 0.0], [1e-200, 0.0, 0.0], [0.2, -0.3, 1.0], [0.0, -5e-324, 5e-324]]
+    units = [[1.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.2, -0.3, 1.0], [0.0, -1.0, 1.0]]
+    angles = [0.1, 0.2, 0.3, 0.4]
+    stacked = quat_from_axis_angle(axes, angles)
+    assert np.array_equal(stacked, quat_from_axis_angle(units, angles))
+    for axis, angle, q in zip(axes, angles, stacked):
+        assert np.array_equal(quat_from_axis_angle(axis, angle), q)
+    with pytest.raises(ValidationError, match="^rotation axis must be nonzero$"):
+        quat_from_axis_angle([axes[0], [0.0, -0.0, 0.0]], [0.1, 0.2])
 
 
 @pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-4, 1.0, math.pi - 1e-7])

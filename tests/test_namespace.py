@@ -133,6 +133,24 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, own):
     assert loaded == sorted(f"slameval.{m}" for m in _BASE + own)
 
 
+@pytest.mark.parametrize("jobs, loaded", [(1, []), (2, ["multiprocessing"])])
+def test_batch_loads_multiprocessing_only_to_start_workers(tmp_path, jobs, loaded):
+    # two sequences and two usable CPUs: --jobs 2 starts one worker
+    gt = random_trajectory(seed=211, n=50, step_mean=0.006, turn_mean=0.02)
+    spec = PerturbationSpec(noise_sigma_trans=0.001)
+    build_synth_cohort(tmp_path, [("a", gt, [spec]), ("b", gt, [spec])])
+    argv = ["batch", f"{tmp_path}/manifest.json", "--out", f"{tmp_path}/r", "--jobs", str(jobs)]
+    out = _run(
+        "import json, os, sys\n"
+        "os.sched_getaffinity = lambda pid: set(range(2))\n"
+        "from slameval.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, [m for m in ('multiprocessing', 'concurrent.futures')"
+        " if m in sys.modules]]))\n"
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, loaded]
+
+
 def test_synth_loads_neither_numpy_random_nor_openssl(tmp_path):
     # numpy.random imports secrets, which loads OpenSSL's libcrypto through _hashlib
     argv = ["synth", "--gt-out", f"{tmp_path}/g.txt", "--est-out", f"{tmp_path}/e.txt",

@@ -121,6 +121,23 @@ def test_rotation_drift():
     assert abs(report.rot_mean - phi) <= 1e-12
 
 
+@pytest.mark.parametrize("axis, unit", [((1e300, 1e300, 0.0), (1.0, 1.0, 0.0)),
+                                        ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                                        ((-5e-324, 5e-324, 0.0), (-1.0, 1.0, 0.0))])
+def test_rotation_drift_axis_at_any_magnitude(axis, unit):
+    # the squared norm of the axis overflows or underflows; its direction is what counts
+    gt = random_trajectory(seed=61, n=80, step_mean=0.01, turn_mean=0.02)
+    est = perturb(gt, PerturbationSpec(drift_rot_per_frame=0.1, drift_rot_axis=axis))
+    assert est == perturb(gt, PerturbationSpec(drift_rot_per_frame=0.1, drift_rot_axis=unit))
+    assert not np.array_equal(est.q, gt.q)
+
+
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 0.0), (0, -0.0, np.float32(0))])
+def test_a_zero_rotation_drift_axis_is_refused_when_the_spec_is_built(axis):
+    with pytest.raises(ValidationError, match=r"^drift_rot_axis must be nonzero, got \(0\.0, "):
+        PerturbationSpec(drift_rot_axis=axis)
+
+
 def test_dropout_count_and_timestamps():
     gt = random_trajectory(seed=62, n=200, step_mean=0.01, turn_mean=0.02)
     for f in (0.1, 0.25, 0.5, 0.9):
