@@ -415,7 +415,10 @@ def run_batch(manifest: RunManifest, jobs: int = 1) -> BatchOutcome:
     interleaved shares. This process evaluates the first, worker processes
     the others (see _evaluate_shares). Results are reduced in manifest
     order, and each share's numbers are those of its entries alone, so the
-    report is bit-identical at every job count.
+    report is bit-identical at every job count. A spawned worker (macOS,
+    Windows, or Linux while another thread runs) imports the calling script
+    again: a script must call run_batch with jobs > 1 under
+    `if __name__ == "__main__":`, or each worker ends without its result.
     """
     jobs = _count("jobs", jobs)
     options = manifest.options

@@ -24,7 +24,7 @@ import csv
 import io
 import math
 import os
-import shutil
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -164,15 +164,12 @@ def write_report_bundle(
     files = _bundle(outcome, options, svg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    staging = out / f".bundle.{os.getpid()}.{os.urandom(4).hex()}"
-    staging.mkdir()
-    try:
+    with tempfile.TemporaryDirectory(prefix=".bundle.", dir=out, ignore_cleanup_errors=True) as tmp:
+        staging = Path(tmp)
         for name, text in files.items():
             (staging / name).write_text(text, encoding="utf-8")
         for name in files:
             os.replace(staging / name, out / name)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
     for name in _BUNDLE_NAMES.difference(files):
         (out / name).unlink(missing_ok=True)
     return [out / name for name in files]

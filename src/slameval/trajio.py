@@ -114,23 +114,12 @@ class Association:
         )
 
 
-def _line_numbers(lines: list[str]) -> list[int]:
-    """The 1-based line number of each pose line (by parse_tum's rule), for error messages."""
-    numbered = enumerate(lines, start=1)
-    return [no for no, raw in numbered if (head := raw.lstrip()) and head[0] != "#"]
-
-
-def _loadtxt(pose_lines: list[str]) -> np.ndarray | None:
-    """All pose lines as an (n, 8) array in one call, or None if any line is not
-    eight numbers that loadtxt reads; the caller then parses line by line, which
-    also accepts what only float() reads (such as '1_0') and finds the defect."""
-    if not pose_lines:
-        return None
-    try:
-        data = np.loadtxt(pose_lines, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return data if data.shape == (len(pose_lines), 8) else None
+def _pose_lines(lines: list[str]) -> Iterator[tuple[int, str]]:
+    """(1-based line number, text) of each pose line: one that holds something
+    other than blanks and does not start with '#'."""
+    for no, raw in enumerate(lines, start=1):
+        if (head := raw.lstrip()) and head[0] != "#":
+            yield no, raw
 
 
 def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Trajectory:
@@ -150,24 +139,30 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     lines = list(source)
     if lines:
         lines[0] = lines[0].removeprefix("\ufeff")
-    # a pose line holds something other than blanks and does not start with '#'
-    pose_lines = [raw for raw in lines if (head := raw.lstrip()) and head[0] != "#"]
-    data = _loadtxt(pose_lines)
+    first = next(_pose_lines(lines), None)
+    if first is None:
+        raise ValidationError("no pose lines found; a trajectory needs at least one pose")
+    # loadtxt skips the blank lines the rule skips, so from the first pose line on
+    # it reads every pose, unless a line is a comment or not eight numbers it reads
+    try:
+        data = np.loadtxt(lines[first[0] - 1 :], comments=None, ndmin=2)
+    except ValueError:
+        data = None
 
     # (message, line_no) of the earliest defect; each check sees only the rows before it
     defect = None
-    if data is None:
-        line_nos = _line_numbers(lines)
-        rows = [raw.split() for raw in pose_lines]
-        n = next((i for i, fields in enumerate(rows) if len(fields) != 8), len(rows))
-        if n < len(rows):
-            defect = (f"expected 8 fields, got {len(rows[n])}", line_nos[n])
+    if data is None or data.shape[1] != 8:
+        # line by line, which also accepts what only float() reads (such as '1_0')
         values = []
-        for k, fields in enumerate(rows[:n]):
+        for no, raw in _pose_lines(lines):
+            fields = raw.split()
+            if len(fields) != 8:
+                defect = (f"expected 8 fields, got {len(fields)}", no)
+                break
             try:
                 values.append(list(map(float, fields)))
             except ValueError:
-                defect = (f"non-numeric field in {pose_lines[k].strip()!r}", line_nos[k])
+                defect = (f"non-numeric field in {raw.strip()!r}", no)
                 break
         data = np.array(values, dtype=float).reshape(-1, 8)
 
@@ -175,11 +170,9 @@ def parse_tum(source: str | IO[str] | Iterable[str], traj_id: str = "") -> Traje
     # a file cannot leave a pose unstamped: fmin(NaN, inf) is inf, a non-finite value
     bad = _bad_pose_row(np.fmin(ts, np.inf), data[:, 1:4], q)
     if bad is not None:
-        defect = (bad[1], _line_numbers(lines)[bad[0]])
+        defect = (bad[1], [no for no, _ in _pose_lines(lines)][bad[0]])
     if defect is not None:
         raise ParseError(*defect)
-    if not pose_lines:
-        raise ValidationError("no pose lines found; a trajectory needs at least one pose")
     t, xyz, q = _locked(ts), _locked(data[:, 1:4]), _locked(quat_normalize(q))
     return _view(Trajectory, t=t, xyz=xyz, q=q, traj_id=traj_id)
 

@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -665,6 +666,31 @@ def test_forked_workers_do_not_write_the_parents_buffered_output(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "written once", "3\n")
+
+
+@pytest.mark.parametrize("guarded", [True, False])
+def test_a_script_that_spawns_workers_needs_a_main_guard(tmp_path, guarded):
+    # a spawned worker imports the script again: unguarded, that import starts a batch of its own,
+    # which multiprocessing refuses, and the worker ends without sending its result
+    path = _small_cohort(tmp_path, n_seq=2, runs=1, frames=30)
+    call = "print(run_batch(load_manifest(sys.argv[1]), jobs=2).evaluated_count)\n"
+    script = tmp_path / "script.py"
+    script.write_text("import sys\n"
+                      "from slameval import batch\n"
+                      "from slameval.batch import load_manifest, run_batch\n"
+                      "batch._fork_is_safe = lambda: False\n"
+                      "batch._usable_cpus = lambda: 2\n"
+                      + ('if __name__ == "__main__":\n    ' + call if guarded else call))
+    env = dict(os.environ, PYTHONPATH=str(Path(batch.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(script), str(path)], env=env, capture_output=True,
+                          text=True, timeout=120)
+    if guarded:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "2\n", "")
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        last = proc.stderr.splitlines()[-1]
+        assert re.fullmatch(r"ChildProcessError: batch worker \d+ ended by exit status 1"
+                            r" without sending its result", last)
 
 
 def test_batch_stride_option(tmp_path):

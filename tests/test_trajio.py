@@ -20,6 +20,7 @@ from slameval.trajio import (
     write_tum,
 )
 
+import pose_loop_reference as ref
 from conftest import pose_gap, precise_angle_between, random_pose_trajectory, rotz
 
 
@@ -84,6 +85,37 @@ def test_parse_error_survives_pickling():
     err = pickle.loads(pickle.dumps(ParseError("non-finite value", 3)))
     assert type(err) is ParseError
     assert str(err) == "line 3: non-finite value" and err.line_no == 3
+
+
+# Each character str.isspace() calls blank, and three that it does not: parse_tum
+# reads a line of one of them, and a field separated by one, as the pose loop does.
+_ONE_CHARACTER_LINES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+_ONE_CHARACTER_LINES += ["\x00", "\ufeff", "\u200b"]
+
+
+@pytest.mark.parametrize("c", _ONE_CHARACTER_LINES, ids=lambda c: f"U+{ord(c):04X}")
+@pytest.mark.parametrize("as_stream", [False, True], ids=["string", "stream"])
+def test_a_one_character_line_or_separator_parses_as_the_pose_loop_reads_it(c, as_stream):
+    for text in (f"0 0 0 0 0 0 0 1\n{c}\n1 0 0 0 0 0 0 1\n",
+                 f"0 0 0 0 0 0 0 1\n1{c}0 0 0 0 0 0 1\n"):
+        source = (lambda: io.StringIO(text, newline=None)) if as_stream else (lambda: text)
+        assert ref.outcome(parse_tum, source()) == ref.outcome(ref.parse_tum, source())
+
+
+@pytest.mark.parametrize("comment", ["# c", "  #", "#0 0 0 0 0 0 0 1"])
+def test_a_comment_between_poses_is_skipped(comment):
+    poses = ["# h", "0 0 0 0 0 0 0 1", "1 1 0 0 0 0 0 1", "2 2 0 0 0 0 0 1"]
+    commented = poses[:3] + [comment] + poses[3:]
+    assert parse_tum("\n".join(commented), "t") == parse_tum("\n".join(poses), "t")
+
+
+@pytest.mark.parametrize("first, second, message", [
+    ("1 0 0 0 0 0 1", "2 0 0 x 0 0 0 1", "^line 3: expected 8 fields, got 7$"),
+    ("1 0 0 x 0 0 0 1", "2 0 0 0 0 0 1", r"^line 3: non-numeric field in '1 0 0 x 0 0 0 1'$"),
+])
+def test_the_earlier_of_a_field_count_and_a_non_numeric_defect_wins(first, second, message):
+    with pytest.raises(ParseError, match=message):
+        parse_tum(f"0 0 0 0 0 0 0 1\n\n{first}\n# c\n{second}\n")
 
 
 # ---------------------------------------------------------------------------
